@@ -15,7 +15,13 @@ from .integrator import (
     rk23_step,
     time_to_tolerance,
 )
-from .linalg import build_tridiag, min_singular_value, spectral_norm
+from .linalg import (
+    DenseOperator,
+    TridiagToeplitz,
+    build_tridiag,
+    min_singular_value,
+    spectral_norm,
+)
 from .model import (
     AveProblem,
     Solvability,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -21,6 +22,7 @@ import numpy as np
 
 from .dynamics import DynamicsConfig
 from .integrator import IntegratorOptions, integrate, time_to_tolerance
+from .linalg import as_vector
 from .model import (
     load_problem,
     residual,
@@ -60,8 +62,8 @@ def _load_vector_file(path) -> np.ndarray:
     try:
         with open(path) as fh:
             data = json.load(fh)
-        return np.asarray(data, dtype=float).reshape(-1)
-    except (OSError, ValueError, json.JSONDecodeError) as e:
+        return as_vector(np.asarray(data, dtype=float).reshape(-1))
+    except (OSError, ValueError, TypeError) as e:
         raise InputError(f"cannot read vector from {path}: {e}") from e
 
 
@@ -70,19 +72,17 @@ def _resolve_starts(spec: str, n: int, x_star) -> np.ndarray:
     if spec == "zeros":
         return np.zeros((1, n))
     if spec.startswith("grid:"):
-        try:
-            k = int(spec.split(":", 1)[1])
-        except ValueError as e:
-            raise InputError(f"bad grid spec {spec!r}") from e
         center = x_star if x_star is not None else np.zeros(n)
-        return initial_grid(center, k)
+        try:
+            return initial_grid(center, int(spec.split(":", 1)[1]))
+        except ValueError as e:
+            raise InputError(f"bad grid spec {spec!r}: {e}") from e
     if os.path.exists(spec):
         return _load_vector_file(spec).reshape(1, -1)
     try:
-        vals = [float(v) for v in spec.split(",")]
+        return as_vector([float(v) for v in spec.split(",")]).reshape(1, -1)
     except ValueError as e:
-        raise InputError(f"cannot parse x0 {spec!r}") from e
-    return np.asarray(vals).reshape(1, -1)
+        raise InputError(f"cannot parse x0 {spec!r}: {e}") from e
 
 
 def _parse_tspan(text: str) -> tuple[float, float]:
@@ -90,9 +90,22 @@ def _parse_tspan(text: str) -> tuple[float, float]:
         t0, tf = (float(v) for v in text.split(","))
     except ValueError as e:
         raise InputError(f"bad tspan {text!r}, expected T0,TF") from e
+    if not (math.isfinite(t0) and math.isfinite(tf)):
+        raise InputError(f"tspan endpoints must be finite, got {text!r}")
     if not t0 < tf:
         raise InputError("tspan must satisfy t0 < tf")
     return t0, tf
+
+
+def _parse_tolerances(text: str) -> list[float]:
+    """The --time-to-tol list: positive residual tolerances."""
+    try:
+        tols = [float(v) for v in text.split(",")] if text else []
+    except ValueError as e:
+        raise InputError(f"bad tolerance list {text!r}") from e
+    if not all(tol > 0 for tol in tols):
+        raise InputError("time-to-tol tolerances must be > 0")
+    return tols
 
 
 def _indexed_path(path: str, idx: int, total: int) -> str:
@@ -108,12 +121,15 @@ def cmd_solve(args) -> int:
     starts = _resolve_starts(args.x0, p.n, x_star)
     if starts.shape[1] != p.n:
         raise InputError(f"x0 dimension {starts.shape[1]} != problem dimension {p.n}")
-    cfg = DynamicsConfig(args.gamma)
-    opts = IntegratorOptions(rtol=args.rtol, atol=args.atol,
-                             stop_on_residual=args.stop_residual,
-                             record_stride=args.record_stride)
+    try:
+        cfg = DynamicsConfig(args.gamma)
+        opts = IntegratorOptions(rtol=args.rtol, atol=args.atol,
+                                 stop_on_residual=args.stop_residual,
+                                 record_stride=args.record_stride)
+    except ValueError as e:
+        raise InputError(str(e)) from e
+    report_tols = _parse_tolerances(args.time_to_tol)
     cert = solvability_certificate(p)
-    report_tols = [float(v) for v in args.time_to_tol.split(",")] if args.time_to_tol else []
 
     reports = []
     ok = True

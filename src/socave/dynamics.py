@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_vector, spectral_norm
-from .model import AveProblem, is_solution, residual
+from .linalg import as_vector
+from .model import AveProblem, is_solution, residual, residual_kernel
 
 # exp() overflows shortly past 709 in double precision
 EXP_OVERFLOW = 700.0
@@ -29,14 +29,18 @@ class DynamicsConfig:
             raise ValueError("gamma must be > 0")
 
 
-def rhs(p: AveProblem, cfg: DynamicsConfig, x) -> np.ndarray:
-    """gamma * A^T (b + |x| - Ax), computed as -gamma * A^T r(x)."""
-    return -cfg.gamma * (p.A.T @ residual(p, x))
+def rhs(p: AveProblem, cfg: DynamicsConfig, x: np.ndarray) -> np.ndarray:
+    """gamma * A^T (b + |x| - Ax), computed as -gamma * A^T r(x).
+
+    The integrator's hot path: x is not validated (see residual_kernel), so
+    a non-finite stage yields a non-finite field and a rejected step.
+    """
+    return -cfg.gamma * p.A.rmatvec(residual_kernel(p, x))
 
 
 def lipschitz_bound(p: AveProblem, cfg: DynamicsConfig) -> float:
     """Global Lipschitz constant gamma*||A||*(||A|| + 1) of the vector field."""
-    norm_a = spectral_norm(p.A)
+    norm_a = p.A.norm()
     return cfg.gamma * norm_a * (norm_a + 1.0)
 
 
@@ -58,7 +62,7 @@ def lyapunov_rate(p: AveProblem, cfg: DynamicsConfig, x, x_star) -> float:
         raise ValueError("x_star is not a solution of the problem")
     d = x - x_star
     d2 = float(d @ d)
-    inner = float(d @ (p.A.T @ residual(p, x)))
+    inner = float(d @ p.A.rmatvec(residual(p, x)))
     if d2 > EXP_OVERFLOW:
         return -math.inf if inner > 0 else (math.inf if inner < 0 else 0.0)
     return -2.0 * cfg.gamma * math.exp(d2) * inner

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DynamicsConfig, rhs
-from .model import AveProblem, residual
+from .linalg import as_vector
+from .model import AveProblem, residual_kernel
 
 
 class Termination(enum.Enum):
@@ -176,12 +177,17 @@ def integrate_ode(f, x0, tspan, opts: IntegratorOptions = IntegratorOptions(),
 
 def integrate(p: AveProblem, cfg: DynamicsConfig, x0, tspan,
               opts: IntegratorOptions = IntegratorOptions()) -> Trajectory:
-    """Integrate the projection dynamical system for a SOCAVE problem."""
+    """Integrate the projection dynamical system for a SOCAVE problem.
+
+    x0 is validated here, once; the stages are not (see rhs).
+    """
+    x0 = as_vector(x0, p.n)
+
     def f(t, x):
         return rhs(p, cfg, x)
 
     def res(x):
-        return float(np.linalg.norm(residual(p, x)))
+        return float(np.linalg.norm(residual_kernel(p, x)))
 
     return integrate_ode(f, x0, tspan, opts, residual_fn=res)
 

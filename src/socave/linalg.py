@@ -1,9 +1,16 @@
-"""Dense linear algebra helpers: structured constructors and extremal singular values.
+"""Linear algebra: input validation, extremal singular values and the
+linear operators that hold a problem's matrix.
 
-Matrices and vectors are plain float64 numpy arrays throughout the package.
+Vectors are plain float64 numpy arrays throughout the package. A problem's
+matrix is a linear operator: a DenseOperator around a stored array, or a
+TridiagToeplitz that keeps only its three diagonal values, so tridiagonal
+problems never allocate an n-by-n array.
 """
 
 from __future__ import annotations
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,3 +64,94 @@ def min_singular_value(A) -> float:
     if A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
     return float(np.linalg.svd(A, compute_uv=False)[-1])
+
+
+class DenseOperator:
+    """A stored matrix; matvec and rmatvec are A @ x and A.T @ x."""
+
+    def __init__(self, A):
+        A = as_matrix(A)
+        A.setflags(write=False)
+        self.array = A
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.array.shape
+
+    @property
+    def size(self) -> int:
+        """Number of stored entries."""
+        return self.array.size
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        return self.array @ x
+
+    def rmatvec(self, x: np.ndarray) -> np.ndarray:
+        return self.array.T @ x
+
+    def to_dense(self) -> np.ndarray:
+        return self.array
+
+    def sigma_min(self) -> float:
+        return min_singular_value(self.array)
+
+    def norm(self) -> float:
+        return spectral_norm(self.array)
+
+
+@dataclass(frozen=True)
+class TridiagToeplitz:
+    """n-by-n matrix with constant sub-, main and super-diagonal entries,
+    applied in O(n) without storing it."""
+
+    n: int
+    sub: float
+    diag: float
+    sup: float
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
+        for name in ("sub", "diag", "sup"):
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"tridiag {name} must be finite")
+            object.__setattr__(self, name, value)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.n, self.n)
+
+    @property
+    def size(self) -> int:
+        """Number of stored nonzeros of the band, 3n - 2."""
+        return 3 * self.n - 2
+
+    # (A x)[i] = sub*x[i-1] + diag*x[i] + sup*x[i+1] is entry i + 1 of the
+    # full convolution of x with (sup, diag, sub); A^T swaps sub and sup.
+    # One pass into one array, where three shifted vector ops would also
+    # allocate two temporaries
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        return np.convolve(x, (self.sup, self.diag, self.sub))[1:-1]
+
+    def rmatvec(self, x: np.ndarray) -> np.ndarray:
+        return np.convolve(x, (self.sub, self.diag, self.sup))[1:-1]
+
+    def to_dense(self) -> np.ndarray:
+        return build_tridiag(self.n, self.sub, self.diag, self.sup)
+
+    def _singular_values(self) -> np.ndarray:
+        """Unordered singular values. With sub == sup the matrix is symmetric,
+        so they are the |eigenvalues| d + 2*sub*cos(k*pi/(n+1)), k = 1..n
+        (Noschese, Pasquini & Reichel 2013); otherwise they are not, and the
+        dense SVD answers."""
+        if self.sub != self.sup:
+            return np.linalg.svd(self.to_dense(), compute_uv=False)
+        k = np.arange(1, self.n + 1)
+        return np.abs(self.diag + 2.0 * self.sub * np.cos(k * math.pi / (self.n + 1)))
+
+    def sigma_min(self) -> float:
+        return float(self._singular_values().min())
+
+    def norm(self) -> float:
+        return float(self._singular_values().max())

@@ -15,27 +15,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, build_tridiag, min_singular_value
-from .soc import ConeStructure, project_cone, soc_abs
+from .linalg import DenseOperator, TridiagToeplitz, as_vector
+from .soc import ConeStructure, abs_kernel, project_cone
 
 CERT_EPS = 1e-10
 
 
 @dataclass(frozen=True)
 class AveProblem:
-    A: np.ndarray
+    """A x - |x| - b = 0; A is a linear operator, or an array that is wrapped
+    in a DenseOperator."""
+
+    A: DenseOperator | TridiagToeplitz
     b: np.ndarray
     cone: ConeStructure
     name: str = ""
 
     def __post_init__(self):
-        A = as_matrix(self.A)
+        A = self.A
+        if not isinstance(A, (DenseOperator, TridiagToeplitz)):
+            A = DenseOperator(A)
         if A.shape[0] != A.shape[1]:
             raise ValueError("A must be square")
         b = as_vector(self.b, A.shape[0])
         if self.cone.dim != A.shape[0]:
             raise ValueError("cone dimension must match A")
-        A.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
@@ -59,14 +63,20 @@ class SolvabilityCertificate:
 
 def residual(p: AveProblem, x) -> np.ndarray:
     """r(x) = Ax - |x| - b."""
-    x = as_vector(x, p.n)
-    return p.A @ x - soc_abs(x, p.cone) - p.b
+    return residual_kernel(p, as_vector(x, p.n))
+
+
+def residual_kernel(p: AveProblem, x: np.ndarray) -> np.ndarray:
+    """residual without input validation, for the integrator's hot path: x
+    must be a float vector of dimension p.n; non-finite entries give a
+    non-finite residual instead of an error."""
+    return p.A.matvec(x) - abs_kernel(x, p.cone) - p.b
 
 
 def qf_maps(p: AveProblem, x) -> tuple[np.ndarray, np.ndarray]:
     """(Q(x), F(x)) = (Ax + x - b, Ax - x - b)."""
     x = as_vector(x, p.n)
-    q = p.A @ x - p.b + x
+    q = p.A.matvec(x) - p.b + x
     return q, q - 2.0 * x  # F built from Q so Q - F = 2x holds exactly
 
 
@@ -84,7 +94,7 @@ def is_solution(p: AveProblem, x, tol: float) -> bool:
 
 def solvability_certificate(p: AveProblem) -> SolvabilityCertificate:
     """Classify by sigma_min(A): > 1 guarantees a unique solution."""
-    sigma = min_singular_value(p.A)
+    sigma = p.A.sigma_min()
     if sigma > 1.0 + CERT_EPS:
         verdict = Solvability.UNIQUE_GUARANTEED
     elif sigma < 1.0 - CERT_EPS:
@@ -104,17 +114,21 @@ def contraction_gap(p: AveProblem, x, x_star) -> float:
     if not is_solution(p, x_star, 1e-8):
         raise ValueError("x_star is not a solution of the problem")
     r = residual(p, x)
-    return float((x - x_star) @ (p.A.T @ r) - 0.5 * (r @ r))
+    return float((x - x_star) @ p.A.rmatvec(r) - 0.5 * (r @ r))
 
 
 # -- problem JSON schema ------------------------------------------------------
 
 
 def problem_to_dict(p: AveProblem, x_star=None) -> dict:
+    if isinstance(p.A, TridiagToeplitz):
+        spec = {"kind": "tridiag", "sub": p.A.sub, "diag": p.A.diag, "sup": p.A.sup}
+    else:
+        spec = {"kind": "dense", "entries": p.A.to_dense().tolist()}
     d = {
         "n": p.n,
         "cone_blocks": list(p.cone.blocks),
-        "A": {"kind": "dense", "entries": p.A.tolist()},
+        "A": spec,
         "b": p.b.tolist(),
     }
     if p.name:
@@ -132,9 +146,11 @@ def problem_from_dict(d: dict) -> tuple[AveProblem, np.ndarray | None]:
         spec = d["A"]
         kind = spec["kind"]
         if kind == "dense":
-            A = np.asarray(spec["entries"], dtype=float)
+            A = DenseOperator(spec["entries"])
+            if A.shape != (n, n):
+                raise ValueError(f"dense A has shape {A.shape}, expected ({n}, {n}) from n")
         elif kind == "tridiag":
-            A = build_tridiag(n, float(spec["sub"]), float(spec["diag"]), float(spec["sup"]))
+            A = TridiagToeplitz(n, spec["sub"], spec["diag"], spec["sup"])
         else:
             raise ValueError(f"unknown matrix kind {kind!r}")
         b = np.asarray(d["b"], dtype=float)

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .linalg import build_tridiag
+from .linalg import TridiagToeplitz
 from .model import AveProblem
 from .rng import SplitMix64
 from .soc import ConeStructure, soc_abs
@@ -22,15 +22,16 @@ TOY_RHS = {
 def example_tridiag(n: int) -> tuple[AveProblem, np.ndarray]:
     """tridiag(-1, 4, -1) instance with known solution (-1, 1, -1, 1, ...).
 
+    A is kept banded (TridiagToeplitz), so n = 10^5 needs no n-by-n array.
     b is built as A x* - |x*| so the residual at x* vanishes by
     construction. The whole space is one SOC block.
     """
     if n < 2 or n % 2 != 0:
         raise ValueError("n must be even and >= 2")
-    A = build_tridiag(n, -1.0, 4.0, -1.0)
+    A = TridiagToeplitz(n, -1.0, 4.0, -1.0)
     x_star = np.tile([-1.0, 1.0], n // 2)
     cone = ConeStructure((n,))
-    b = A @ x_star - soc_abs(x_star, cone)
+    b = A.matvec(x_star) - soc_abs(x_star, cone)
     return AveProblem(A, b, cone, name=f"tridiag(n={n})"), x_star
 
 

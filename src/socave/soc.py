@@ -111,7 +111,13 @@ def jordan_product(x, y, cone: ConeStructure) -> np.ndarray:
 
 def soc_abs(x, cone: ConeStructure) -> np.ndarray:
     """Jordan-algebra absolute value sqrt(x o x), blockwise closed form."""
-    x = as_vector(x, cone.dim)
+    return abs_kernel(as_vector(x, cone.dim), cone)
+
+
+def abs_kernel(x: np.ndarray, cone: ConeStructure) -> np.ndarray:
+    """soc_abs without input validation, for the integrator's hot path: x
+    must be a float vector of dimension cone.dim; non-finite entries give
+    non-finite output instead of an error."""
     out = np.empty_like(x)
     for sl in cone.slices():
         xb = x[sl]

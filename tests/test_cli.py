@@ -90,6 +90,39 @@ class TestSolve:
         for x, r in zip(states, res):
             assert abs(np.linalg.norm(res_fn(p, x)) - r) <= 1e-9
 
+    @pytest.mark.parametrize("flags", [
+        ["--gamma", "0"],
+        ["--record-stride", "0"],
+        ["--x0", "grid:0"],
+        ["--rtol", "-1"],
+        ["--x0", "nan,1"],
+        ["--tspan", "0,inf"],
+        ["--time-to-tol", "0"],
+        ["--time-to-tol", "abc"],
+    ])
+    def test_bad_argument_exits_1_without_traceback(self, tmp_path, capsys, flags):
+        args = {"--gamma": "2", "--tspan": "0,1", "--x0": "zeros",
+                "--out": str(tmp_path / "t.csv"), "--report": str(tmp_path / "r.json")}
+        argv = ["solve", "--builtin", "unique"] + flags
+        for name, value in args.items():
+            if name not in flags:
+                argv += [name, value]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_tridiag_stays_banded_at_n_1e5(self, tmp_path):
+        report = tmp_path / "r.json"
+        code = main(["solve", "--builtin", "tridiag", "--n", "100000", "--gamma", "200",
+                     "--tspan", "0,0.0005", "--record-stride", "100000",
+                     "--out", str(tmp_path / "t.csv"), "--report", str(report)])
+        assert code == 0
+        rep = json.loads(report.read_text())
+        assert rep["termination"] == "ReachedTf"
+        assert rep["certificate"]["sigma_min"] == pytest.approx(2.0, rel=1e-9)
+        assert rep["n_accepted"] > 0
+
     def test_tridiag_requires_n(self, tmp_path):
         code = main(["solve", "--builtin", "tridiag", "--gamma", "2",
                      "--tspan", "0,1", "--out", str(tmp_path / "t.csv"),
@@ -105,6 +138,12 @@ class TestVerify:
     def test_nonsolution_rejected_with_exit_3(self, tmp_path, unique_file):
         x = write_vector(tmp_path, "x.json", [1.0, 0.0])
         assert main(["verify", "--problem", unique_file, "--x", x, "--tol", "1e-8"]) == 3
+
+    def test_nonfinite_candidate_exit_1(self, tmp_path, unique_file, capsys):
+        x = tmp_path / "x.json"
+        x.write_text("[NaN, 1.0]")
+        assert main(["verify", "--problem", unique_file, "--x", str(x), "--tol", "1e-8"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_dimension_mismatch_exit_1(self, tmp_path, unique_file):
         x = write_vector(tmp_path, "x.json", [1.0, 0.0, 0.0])

@@ -45,7 +45,7 @@ class TestRhs:
         rng = np.random.default_rng(0)
         for _ in range(50):
             x = rng.standard_normal(6) * 2
-            expected = cfg.gamma * (p.A.T @ -residual(p, x))
+            expected = cfg.gamma * (p.A.to_dense().T @ -residual(p, x))
             assert np.array_equal(rhs(p, cfg, x), expected)
 
     def test_vanishes_exactly_at_solutions_of_nonsingular_problems(self):

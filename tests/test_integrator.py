@@ -12,7 +12,9 @@ from socave.integrator import (
     rk23_step,
     time_to_tolerance,
 )
+from socave.model import AveProblem
 from socave.problems import example_toy, example_tridiag
+from socave.soc import ConeStructure
 
 
 class TestRk23Step:
@@ -120,6 +122,21 @@ class TestIntegrate:
         vals = [lyapunov_value(x, x_star) for x in traj.states]
         for prev, cur in zip(vals, vals[1:]):
             assert cur <= prev + 1e-8
+
+    def test_nonfinite_stages_reject_the_step(self):
+        # the first stage already overflows: 1e100 * 1e150 * 1e150
+        p = AveProblem(1e150 * np.eye(2), np.zeros(2), ConeStructure((2,)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = integrate(p, DynamicsConfig(1e100), [1.0, 0.0], (0.0, 1.0))
+        assert traj.termination in (Termination.STEP_UNDERFLOW, Termination.MAX_STEPS)
+        assert traj.n_rejected > 0
+
+    def test_validates_x0(self):
+        p = example_toy("unique")
+        with pytest.raises(ValueError):
+            integrate(p, DynamicsConfig(2.0), [math.nan, 1.0], (0.0, 1.0))
+        with pytest.raises(ValueError):
+            integrate(p, DynamicsConfig(2.0), [1.0, 0.0, 0.0], (0.0, 1.0))
 
     def test_no_solution_x1_monotone_increasing(self):
         p = example_toy("none")

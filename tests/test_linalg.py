@@ -3,7 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from socave.linalg import build_tridiag, min_singular_value, spectral_norm
+from socave.linalg import (
+    DenseOperator,
+    TridiagToeplitz,
+    build_tridiag,
+    min_singular_value,
+    spectral_norm,
+)
+from socave.model import AveProblem, problem_from_dict, problem_to_dict
+from socave.problems import example_tridiag
+
+SIZES = (1, 2, 3, 10, 101)
+# (sub, diag, sup); the last two are not symmetric
+COEFFS = ((-1.0, 4.0, -1.0), (0.5, -3.0, 0.5), (1.5, 1.0, 1.5), (-0.7, 4.0, -1.3), (2.0, 0.5, -3.0))
+SYMMETRIC = COEFFS[:3]
 
 
 class TestBuildTridiag:
@@ -74,3 +87,98 @@ class TestExtremalProperties:
             A = (q * d) @ q.T
             assert spectral_norm(A) == pytest.approx(d.max(), rel=1e-8)
             assert min_singular_value(A) == pytest.approx(d.min(), rel=1e-8)
+
+
+class TestDenseOperator:
+    def test_keeps_the_array_arithmetic(self):
+        rng = np.random.default_rng(10)
+        A = rng.standard_normal((7, 7))
+        op = DenseOperator(A)
+        x = rng.standard_normal(7)
+        assert np.array_equal(op.matvec(x), A @ x)
+        assert np.array_equal(op.rmatvec(x), A.T @ x)
+        assert op.size == 49
+        assert op.sigma_min() == min_singular_value(A)
+        assert op.norm() == spectral_norm(A)
+
+    def test_problem_wraps_arrays(self):
+        p = AveProblem(np.eye(2), np.zeros(2), example_tridiag(2)[0].cone)
+        assert isinstance(p.A, DenseOperator)
+        assert not p.A.to_dense().flags.writeable
+
+
+class TestTridiagToeplitz:
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("coeffs", COEFFS)
+    def test_products_match_dense(self, n, coeffs):
+        op = TridiagToeplitz(n, *coeffs)
+        A = op.to_dense()
+        assert np.array_equal(A, build_tridiag(n, *coeffs))
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            x = rng.standard_normal(n)
+            assert np.allclose(op.matvec(x), A @ x, rtol=1e-14, atol=1e-14)
+            assert np.allclose(op.rmatvec(x), A.T @ x, rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("coeffs", SYMMETRIC)
+    def test_closed_form_matches_svd(self, n, coeffs):
+        op = TridiagToeplitz(n, *coeffs)
+        sv = np.linalg.svd(op.to_dense(), compute_uv=False)
+        assert op.sigma_min() == pytest.approx(sv[-1], rel=1e-12)
+        assert op.norm() == pytest.approx(sv[0], rel=1e-12)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_nonsymmetric_falls_back_to_svd(self, n):
+        op = TridiagToeplitz(n, 2.0, 0.5, -3.0)
+        sv = np.linalg.svd(op.to_dense(), compute_uv=False)
+        assert op.sigma_min() == sv[-1]
+        assert op.norm() == sv[0]
+
+    def test_nonsymmetric_singular_values_are_not_eigenvalue_moduli(self):
+        # why the fallback exists: |d + 2*sqrt(sub*sup)*cos(k*pi/(n+1))|
+        # are the |eigenvalues|, but for sub != sup not the singular values
+        n, sub, diag, sup = 10, -0.5, 4.0, -2.0
+        k = np.arange(1, n + 1)
+        eig = np.abs(diag + 2 * math.sqrt(sub * sup) * np.cos(k * math.pi / (n + 1)))
+        op = TridiagToeplitz(n, sub, diag, sup)
+        assert abs(op.norm() - eig.max()) > 1e-3
+
+    def test_size_counts_stored_nonzeros(self):
+        assert TridiagToeplitz(1, -1, 4, -1).size == 1
+        assert TridiagToeplitz(10 ** 5, -1, 4, -1).size == 3 * 10 ** 5 - 2
+
+    def test_banded_at_n_1e5(self):
+        op = TridiagToeplitz(10 ** 5, -1.0, 4.0, -1.0)
+        x = np.tile([-1.0, 1.0], 5 * 10 ** 4)
+        y = op.matvec(x)
+        assert y[0] == -5.0 and y[-1] == 5.0 and np.all(np.abs(y[1:-1]) == 6.0)
+        assert op.sigma_min() == pytest.approx(2.0, rel=1e-9)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_coefficients(self, bad):
+        for coeffs in ((bad, 4, -1), (-1, bad, -1), (-1, 4, bad)):
+            with pytest.raises(ValueError):
+                TridiagToeplitz(3, *coeffs)
+
+    def test_rejects_zero_size(self):
+        with pytest.raises(ValueError):
+            TridiagToeplitz(0, -1, 4, -1)
+
+
+class TestOperatorSchema:
+    def test_tridiag_kind_round_trips(self):
+        p, x_star = example_tridiag(6)
+        d = problem_to_dict(p, x_star)
+        assert d["A"] == {"kind": "tridiag", "sub": -1.0, "diag": 4.0, "sup": -1.0}
+        q, _ = problem_from_dict(d)
+        assert q.A == p.A
+        assert np.array_equal(q.b, p.b)
+
+    def test_dense_kind_round_trips(self):
+        p = AveProblem(np.array([[2.0, 1.0], [0.0, 3.0]]), np.ones(2), example_tridiag(2)[0].cone)
+        d = problem_to_dict(p)
+        assert d["A"]["kind"] == "dense"
+        q, _ = problem_from_dict(d)
+        assert isinstance(q.A, DenseOperator)
+        assert np.array_equal(q.A.to_dense(), p.A.to_dense())

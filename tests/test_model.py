@@ -156,7 +156,7 @@ class TestJsonSchema:
         path = tmp_path / "p.json"
         save_problem(path, unique, x_star=[0.0, 1.0])
         p, x_star = load_problem(path)
-        assert np.array_equal(p.A, unique.A)
+        assert np.array_equal(p.A.to_dense(), unique.A.to_dense())
         assert np.array_equal(p.b, unique.b)
         assert p.cone == unique.cone
         assert x_star.tolist() == [0, 1]
@@ -169,7 +169,8 @@ class TestJsonSchema:
             "b": [0, 0, 0, 0],
         }
         p, x_star = problem_from_dict(d)
-        assert p.A[1, 0] == -1 and p.A[1, 1] == 4 and p.A[1, 2] == -1
+        A = p.A.to_dense()
+        assert A[1, 0] == -1 and A[1, 1] == 4 and A[1, 2] == -1
         assert x_star is None
 
     def test_dict_has_schema_fields(self, unique):
@@ -190,3 +191,40 @@ class TestJsonSchema:
              "A": {"kind": "dense", "entries": [[1, 0], [0, 1]]}, "b": [0, 0]}
         with pytest.raises(ValueError):
             problem_from_dict(d)
+
+    def test_dense_n_must_match_a(self):
+        d = {"n": 5, "cone_blocks": [2],
+             "A": {"kind": "dense", "entries": [[1, 0], [0, 1]]}, "b": [0, 0]}
+        with pytest.raises(ValueError, match="shape"):
+            problem_from_dict(d)
+
+    def test_dense_b_must_match_n(self):
+        d = {"n": 2, "cone_blocks": [2],
+             "A": {"kind": "dense", "entries": [[1, 0], [0, 1]]}, "b": [0, 0, 0]}
+        with pytest.raises(ValueError):
+            problem_from_dict(d)
+
+    @pytest.mark.parametrize("field", ["sub", "diag", "sup"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_tridiag_coefficients_must_be_finite(self, field, bad):
+        spec = {"kind": "tridiag", "sub": -1, "diag": 4, "sup": -1, field: bad}
+        d = {"n": 4, "cone_blocks": [4], "A": spec, "b": [0, 0, 0, 0]}
+        with pytest.raises(ValueError, match="finite"):
+            problem_from_dict(d)
+
+    def test_tridiag_nan_in_json_file(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"n": 2, "cone_blocks": [2], "b": [0, 0], '
+                        '"A": {"kind": "tridiag", "sub": NaN, "diag": 4, "sup": -1}}')
+        with pytest.raises(ValueError):
+            load_problem(path)
+
+    def test_banded_round_trip_at_n_1e5(self, tmp_path):
+        p, x_star = example_tridiag(10 ** 5)
+        path = tmp_path / "big.json"
+        save_problem(path, p, x_star)
+        q, x_star2 = load_problem(path)
+        assert q.A == p.A
+        assert np.array_equal(q.b, p.b)
+        assert np.array_equal(x_star2, x_star)
+        assert json.loads(path.read_text())["A"]["kind"] == "tridiag"

@@ -20,7 +20,7 @@ from socave.soc import ConeStructure, soc_abs
 class TestExampleTridiag:
     def test_n2_construction(self):
         p, x_star = example_tridiag(2)
-        assert p.A.tolist() == [[4, -1], [-1, 4]]
+        assert p.A.to_dense().tolist() == [[4, -1], [-1, 4]]
         assert x_star.tolist() == [-1, 1]
         assert soc_abs(x_star, p.cone).tolist() == [1, -1]
         assert p.b.tolist() == [-6, 6]
@@ -83,19 +83,19 @@ class TestRandomUnique:
     def test_certificate_and_margin(self):
         p, _ = random_unique(10, ConeStructure((10,)), 0.25, 5)
         assert solvability_certificate(p).verdict is Solvability.UNIQUE_GUARANTEED
-        assert min_singular_value(p.A) >= 1.25 - 1e-8
+        assert min_singular_value(p.A.to_dense()) >= 1.25 - 1e-8
 
     def test_deterministic(self):
         a = random_unique(8, ConeStructure((3, 5)), 0.1, 42)
         b = random_unique(8, ConeStructure((3, 5)), 0.1, 42)
-        assert np.array_equal(a[0].A, b[0].A)
+        assert np.array_equal(a[0].A.to_dense(), b[0].A.to_dense())
         assert np.array_equal(a[0].b, b[0].b)
         assert np.array_equal(a[1], b[1])
 
     def test_seed_changes_instance(self):
         a = random_unique(6, ConeStructure((6,)), 0.1, 1)
         b = random_unique(6, ConeStructure((6,)), 0.1, 2)
-        assert not np.array_equal(a[0].A, b[0].A)
+        assert not np.array_equal(a[0].A.to_dense(), b[0].A.to_dense())
 
     def test_rejects_bad_margin(self):
         with pytest.raises(ValueError):

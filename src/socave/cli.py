@@ -152,6 +152,7 @@ def cmd_solve(args) -> int:
             wall_time_s=wall,
             n_accepted=traj.n_accepted,
             n_rejected=traj.n_rejected,
+            n_rhs_evals=traj.n_rhs_evals,
         ).to_dict())
         write_trajectory_csv(_indexed_path(args.out, i, len(starts)), traj)
         ok = ok and termination_ok(traj.termination)

@@ -32,10 +32,22 @@ class DynamicsConfig:
 def rhs(p: AveProblem, cfg: DynamicsConfig, x: np.ndarray) -> np.ndarray:
     """gamma * A^T (b + |x| - Ax), computed as -gamma * A^T r(x).
 
-    The integrator's hot path: x is not validated (see residual_kernel), so
-    a non-finite stage yields a non-finite field and a rejected step.
+    x is not validated (see residual_kernel), so a non-finite x yields a
+    non-finite field.
     """
-    return -cfg.gamma * p.A.rmatvec(residual_kernel(p, x))
+    return rhs_and_residual(p, cfg, x)[0]
+
+
+def rhs_and_residual(p: AveProblem, cfg: DynamicsConfig,
+                     x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rhs(x), r(x)): the field and the residual it was computed from.
+
+    The integrator's hot path: it records ||r|| of each accepted state from
+    the evaluation it already made, so r is never computed twice. x is not
+    validated, so a non-finite stage yields a rejected step.
+    """
+    r = residual_kernel(p, x)
+    return -cfg.gamma * p.A.rmatvec(r), r
 
 
 def lipschitz_bound(p: AveProblem, cfg: DynamicsConfig) -> float:

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DynamicsConfig, rhs
+from .dynamics import DynamicsConfig, rhs_and_residual
 from .linalg import as_vector
-from .model import AveProblem, residual_kernel
+from .model import AveProblem
 
 
 class Termination(enum.Enum):
@@ -45,6 +45,8 @@ class IntegratorOptions:
             raise ValueError("h_init must be > 0")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
+        if self.max_steps < 1:
+            raise ValueError("max_steps must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -60,6 +62,11 @@ class Trajectory:
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 
+    @property
+    def n_rhs_evals(self) -> int:
+        """Vector-field evaluations: one at x0, then three per step attempt."""
+        return 1 + 3 * (self.n_accepted + self.n_rejected)
+
 
 def rk23_step(f, t, x, h, rtol=1e-6, atol=1e-9, k1=None):
     """One Bogacki-Shampine step: (3rd-order state, scaled error estimate).
@@ -69,20 +76,31 @@ def rk23_step(f, t, x, h, rtol=1e-6, atol=1e-9, k1=None):
     values yield an infinite estimate so the caller rejects the step.
     """
     x = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if k1 is None:
+    if k1 is None:
+        with np.errstate(over="ignore", invalid="ignore"):
             k1 = f(t, x)
-        k2 = f(t + 0.5 * h, x + (0.5 * h) * k1)
-        k3 = f(t + 0.75 * h, x + (0.75 * h) * k2)
+    return _bs_step(lambda s, y: (f(s, y), None), t, x, h, rtol, atol, k1)[:2]
+
+
+def _bs_step(field, t, x, h, rtol, atol, k1):
+    """rk23_step for a field(t, x) -> (dx/dt, aux) with k1 given.
+
+    Returns (x_high, err, k4, aux4). Bogacki-Shampine is FSAL: k4 is the
+    field at (t + h, x_high), so after an accepted step it is the next
+    step's k1, and aux4 is whatever the field computed along with it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        k2 = field(t + 0.5 * h, x + (0.5 * h) * k1)[0]
+        k3 = field(t + 0.75 * h, x + (0.75 * h) * k2)[0]
         # integer-weight forms keep the estimate exactly zero when all stages agree
         x_high = x + h * ((2.0 * k1 + 3.0 * k2 + 4.0 * k3) / 9.0)
-        k4 = f(t + h, x_high)
+        k4, aux4 = field(t + h, x_high)
         err_vec = (h / 72.0) * (-5.0 * k1 + 6.0 * k2 + 8.0 * k3 - 9.0 * k4)
     if not (np.all(np.isfinite(x_high)) and np.all(np.isfinite(err_vec))):
-        return x_high, math.inf
+        return x_high, math.inf, k4, aux4
     scale = atol + rtol * np.maximum(np.abs(x), np.abs(x_high))
     err = float(np.max(np.abs(err_vec) / scale)) if x.size else 0.0
-    return x_high, err
+    return x_high, err, k4, aux4
 
 
 def _step_factor(err: float) -> float:
@@ -91,13 +109,24 @@ def _step_factor(err: float) -> float:
     return min(5.0, max(0.2, 0.9 * err ** (-1.0 / 3.0)))
 
 
-def integrate_ode(f, x0, tspan, opts: IntegratorOptions = IntegratorOptions(),
-                  residual_fn=None) -> Trajectory:
+def integrate_ode(f, x0, tspan, opts: IntegratorOptions = IntegratorOptions()) -> Trajectory:
     """Integrate dx/dt = f(t, x) over tspan with adaptive stepping.
 
-    residual_fn(x), when given, supplies the recorded residual norms and
-    drives the stop_on_residual event; otherwise the norm of the vector
-    field itself is recorded.
+    The recorded residual norms, which also drive the stop_on_residual
+    event, are the norms of the vector field itself.
+    """
+    def field(t, x):
+        v = f(t, x)
+        return v, v
+
+    return _integrate(field, x0, tspan, opts)
+
+
+def _integrate(field, x0, tspan, opts: IntegratorOptions) -> Trajectory:
+    """The step loop of integrate_ode for a field(t, x) -> (dx/dt, aux).
+
+    The recorded norm is ||aux|| of the evaluation at the recorded state.
+    The field runs 1 + 3 * (accepted + rejected) times.
     """
     t0, tf = float(tspan[0]), float(tspan[1])
     if not t0 < tf:
@@ -109,22 +138,18 @@ def integrate_ode(f, x0, tspan, opts: IntegratorOptions = IntegratorOptions(),
         h = min(h, opts.h_max)
     h = max(h, opts.h_min)
 
-    fx = f(t0, x)
-
-    def res_norm(state, field_val):
-        if residual_fn is not None:
-            return float(residual_fn(state))
-        return float(np.linalg.norm(field_val))
-
+    fx, aux = field(t0, x)
     t = t0
+    rnorm = float(np.linalg.norm(aux))
+    # states are never mutated: x is rebound to a fresh x_high on each step
     times = [t0]
-    states = [x.copy()]
-    res_norms = [res_norm(x, fx)]
+    states = [x]
+    res_norms = [rnorm]
     n_accepted = 0
     n_rejected = 0
     termination = None
 
-    if opts.stop_on_residual is not None and res_norms[0] <= opts.stop_on_residual:
+    if opts.stop_on_residual is not None and rnorm <= opts.stop_on_residual:
         termination = Termination.RESIDUAL_EVENT
 
     while termination is None:
@@ -132,13 +157,12 @@ def integrate_ode(f, x0, tspan, opts: IntegratorOptions = IntegratorOptions(),
             termination = Termination.MAX_STEPS
             break
         h_trial = min(h, tf - t)
-        x_new, err = rk23_step(f, t, x, h_trial, opts.rtol, opts.atol, k1=fx)
+        x_new, err, k4, aux4 = _bs_step(field, t, x, h_trial, opts.rtol, opts.atol, fx)
         if err <= 1.0:
             t = t + h_trial
-            x = x_new
-            fx = f(t, x)
+            x, fx = x_new, k4
             n_accepted += 1
-            rnorm = res_norm(x, fx)
+            rnorm = float(np.linalg.norm(aux4))
             event = (opts.stop_on_residual is not None
                      and rnorm <= opts.stop_on_residual)
             # robust endpoint test: floating accumulation can leave t a few
@@ -150,7 +174,7 @@ def integrate_ode(f, x0, tspan, opts: IntegratorOptions = IntegratorOptions(),
                 termination = Termination.REACHED_TF
             if termination is not None or n_accepted % opts.record_stride == 0:
                 times.append(t)
-                states.append(x.copy())
+                states.append(x)
                 res_norms.append(rnorm)
         else:
             n_rejected += 1
@@ -162,8 +186,8 @@ def integrate_ode(f, x0, tspan, opts: IntegratorOptions = IntegratorOptions(),
 
     if times[-1] < t:  # make sure the last accepted state is recorded
         times.append(t)
-        states.append(x.copy())
-        res_norms.append(res_norm(x, fx))
+        states.append(x)
+        res_norms.append(rnorm)
 
     return Trajectory(
         times=np.asarray(times),
@@ -179,17 +203,11 @@ def integrate(p: AveProblem, cfg: DynamicsConfig, x0, tspan,
               opts: IntegratorOptions = IntegratorOptions()) -> Trajectory:
     """Integrate the projection dynamical system for a SOCAVE problem.
 
-    x0 is validated here, once; the stages are not (see rhs).
+    x0 is validated here, once; the stages are not (see rhs_and_residual).
+    The recorded residual norms come from the field evaluations themselves.
     """
     x0 = as_vector(x0, p.n)
-
-    def f(t, x):
-        return rhs(p, cfg, x)
-
-    def res(x):
-        return float(np.linalg.norm(residual_kernel(p, x)))
-
-    return integrate_ode(f, x0, tspan, opts, residual_fn=res)
+    return _integrate(lambda t, x: rhs_and_residual(p, cfg, x), x0, tspan, opts)
 
 
 def time_to_tolerance(traj: Trajectory, tol: float) -> float | None:

@@ -1,7 +1,8 @@
 """Trajectory CSV serialization and solve reports.
 
-CSV schema: header ``t,x_1,...,x_n,residual_norm``; values printed with 17
-significant digits so doubles round-trip losslessly.
+CSV schema: header ``t,x_1,...,x_n,residual_norm``, then one row per
+recorded state: the values printed with ``%.17g`` (17 significant digits,
+so doubles round-trip losslessly) joined by commas. Lines end in CRLF.
 """
 
 from __future__ import annotations
@@ -14,17 +15,14 @@ import numpy as np
 from .integrator import Termination, Trajectory
 
 
-def _fmt(v: float) -> str:
-    return format(v, ".17g")
-
-
 def write_trajectory_csv(path, traj: Trajectory) -> None:
     n = traj.states.shape[1]
+    # one % per row; the bytes are those of csv.writer with format(v, ".17g")
+    row = ",".join(["%.17g"] * (n + 2)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"x_{i + 1}" for i in range(n)] + ["residual_norm"])
-        for t, x, r in zip(traj.times, traj.states, traj.residual_norms):
-            writer.writerow([_fmt(t)] + [_fmt(v) for v in x] + [_fmt(r)])
+        fh.write(",".join(["t", *(f"x_{i + 1}" for i in range(n)), "residual_norm"]) + "\r\n")
+        for t, x, r in zip(traj.times.tolist(), traj.states, traj.residual_norms.tolist()):
+            fh.write(row % (t, *x.tolist(), r))
 
 
 def read_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -54,6 +52,7 @@ class SolveReport:
     wall_time_s: float
     n_accepted: int
     n_rejected: int
+    n_rhs_evals: int
 
     def to_dict(self) -> dict:
         d = asdict(self)

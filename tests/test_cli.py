@@ -34,6 +34,7 @@ class TestSolve:
         assert rep["termination"] == "ReachedTf"
         assert np.linalg.norm(np.array(rep["final_state"]) - [0.0, 1.0]) <= 1e-3
         assert rep["certificate"]["verdict"] == "BoundaryRegime"
+        assert rep["n_rhs_evals"] == 1 + 3 * (rep["n_accepted"] + rep["n_rejected"])
 
     def test_problem_file_with_stop_residual(self, tmp_path, unique_file):
         out = tmp_path / "t.csv"

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from socave.dynamics import DynamicsConfig, lyapunov_value
+import socave.dynamics
+from socave.dynamics import DynamicsConfig, lyapunov_value, rhs
 from socave.integrator import (
     IntegratorOptions,
     Termination,
@@ -12,8 +13,8 @@ from socave.integrator import (
     rk23_step,
     time_to_tolerance,
 )
-from socave.model import AveProblem
-from socave.problems import example_toy, example_tridiag
+from socave.model import AveProblem, residual_kernel
+from socave.problems import example_toy, example_tridiag, random_unique
 from socave.soc import ConeStructure
 
 
@@ -50,6 +51,11 @@ class TestOptions:
             IntegratorOptions(atol=-1.0)
         with pytest.raises(ValueError):
             IntegratorOptions(record_stride=0)
+
+    @pytest.mark.parametrize("max_steps", [0, -1])
+    def test_rejects_max_steps_below_one(self, max_steps):
+        with pytest.raises(ValueError):
+            IntegratorOptions(max_steps=max_steps)
 
 
 class TestIntegrate:
@@ -184,3 +190,153 @@ class TestTimeToTolerance:
         traj = integrate(p, DynamicsConfig(2.0), [0.0, 1.0], (0.0, 1.0))
         with pytest.raises(ValueError):
             time_to_tolerance(traj, 0.0)
+
+
+def _seed_rk23_step(f, t, x, h, rtol, atol, k1):
+    """The Bogacki-Shampine step as it was before FSAL reuse: the reference."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        k2 = f(t + 0.5 * h, x + (0.5 * h) * k1)
+        k3 = f(t + 0.75 * h, x + (0.75 * h) * k2)
+        x_high = x + h * ((2.0 * k1 + 3.0 * k2 + 4.0 * k3) / 9.0)
+        k4 = f(t + h, x_high)
+        err_vec = (h / 72.0) * (-5.0 * k1 + 6.0 * k2 + 8.0 * k3 - 9.0 * k4)
+    if not (np.all(np.isfinite(x_high)) and np.all(np.isfinite(err_vec))):
+        return x_high, math.inf
+    scale = atol + rtol * np.maximum(np.abs(x), np.abs(x_high))
+    return x_high, float(np.max(np.abs(err_vec) / scale))
+
+
+def _seed_integrate_ode(f, x0, tspan, opts, residual_fn=None):
+    """The step loop as it was before FSAL reuse: it evaluates f(t, x) again
+    after each accepted step and records residual_fn(x) separately.
+    Returns (times, states, residual_norms, termination, accepted, rejected)."""
+    t0, tf = tspan
+    x = np.array(x0, dtype=float)
+    h = opts.h_init if opts.h_init is not None else 0.01 * (tf - t0)
+    if opts.h_max is not None:
+        h = min(h, opts.h_max)
+    h = max(h, opts.h_min)
+
+    def res_norm(state, field_val):
+        if residual_fn is not None:
+            return float(residual_fn(state))
+        return float(np.linalg.norm(field_val))
+
+    fx = f(t0, x)
+    t = t0
+    times, states, res_norms = [t0], [x.copy()], [res_norm(x, fx)]
+    n_acc = n_rej = 0
+    term = None
+    if opts.stop_on_residual is not None and res_norms[0] <= opts.stop_on_residual:
+        term = Termination.RESIDUAL_EVENT
+    while term is None:
+        if n_acc + n_rej >= opts.max_steps:
+            term = Termination.MAX_STEPS
+            break
+        h_trial = min(h, tf - t)
+        x_new, err = _seed_rk23_step(f, t, x, h_trial, opts.rtol, opts.atol, fx)
+        if err <= 1.0:
+            t = t + h_trial
+            x = x_new
+            fx = f(t, x)
+            n_acc += 1
+            rnorm = res_norm(x, fx)
+            if opts.stop_on_residual is not None and rnorm <= opts.stop_on_residual:
+                term = Termination.RESIDUAL_EVENT
+            elif (tf - t) <= 1e-13 * (tf - t0):
+                term = Termination.REACHED_TF
+            if term is not None or n_acc % opts.record_stride == 0:
+                times.append(t)
+                states.append(x.copy())
+                res_norms.append(rnorm)
+        else:
+            n_rej += 1
+        h = h_trial * min(5.0, max(0.2, 0.9 * err ** (-1.0 / 3.0))) if err else h_trial * 5.0
+        if opts.h_max is not None:
+            h = min(h, opts.h_max)
+        if term is None and h < opts.h_min:
+            term = Termination.STEP_UNDERFLOW
+    if times[-1] < t:
+        times.append(t)
+        states.append(x.copy())
+        res_norms.append(res_norm(x, fx))
+    return (np.asarray(times), np.asarray(states), np.asarray(res_norms),
+            term, n_acc, n_rej)
+
+
+def _assert_same_run(traj, ref):
+    times, states, res_norms, term, n_acc, n_rej = ref
+    assert traj.times.tobytes() == times.tobytes()
+    assert traj.states.tobytes() == states.tobytes()
+    assert traj.residual_norms.tobytes() == res_norms.tobytes()
+    assert (traj.termination, traj.n_accepted, traj.n_rejected) == (term, n_acc, n_rej)
+
+
+def _many_block_problem():
+    cone = ConeStructure((3,) * 10 + (2,))
+    p, _ = random_unique(cone.dim, cone, 0.1, 3)
+    return p
+
+
+class TestFsalStepLoop:
+    """The loop reuses k4 as the next k1 and takes the recorded residual norm
+    from the k4 evaluation; both are exact, so runs must match the reference
+    loop bit for bit."""
+
+    @pytest.mark.parametrize("case", ["unique", "none", "tridiag", "many_block"])
+    def test_bitwise_equal_to_reference_loop(self, case):
+        opts = IntegratorOptions()
+        if case in ("unique", "none"):
+            p, gamma, x0, tspan = example_toy(case), 2.0, np.array([2.0, -2.0]), (0.0, 10.0)
+        elif case == "tridiag":
+            p, gamma, x0, tspan = example_tridiag(100)[0], 100.0, np.zeros(100), (0.0, 0.1)
+        else:
+            p = _many_block_problem()
+            gamma, x0, tspan = 5.0, np.ones(p.n), (0.0, 50.0)
+            opts = IntegratorOptions(stop_on_residual=1e-6, record_stride=3)
+        cfg = DynamicsConfig(gamma)
+        traj = integrate(p, cfg, x0, tspan, opts)
+        ref = _seed_integrate_ode(lambda t, x: rhs(p, cfg, x), x0, tspan, opts,
+                                  lambda x: np.linalg.norm(residual_kernel(p, x)))
+        _assert_same_run(traj, ref)
+        if case == "many_block":
+            assert traj.termination is Termination.RESIDUAL_EVENT
+
+    def test_time_dependent_field_records_its_norm(self):
+        # FSAL is exact even when f depends on t: k4 is f at (t + h, x_high)
+        def f(t, y):
+            return np.sin(t) - y
+
+        opts = IntegratorOptions(rtol=1e-8, atol=1e-10)
+        traj = integrate_ode(f, np.array([1.0, -0.5]), (0.0, 3.0), opts)
+        _assert_same_run(traj, _seed_integrate_ode(f, np.array([1.0, -0.5]), (0.0, 3.0), opts))
+
+    def test_counting_field_runs_three_times_per_attempt(self):
+        calls = []
+
+        def f(t, y):
+            calls.append(t)
+            return -y
+
+        traj = integrate_ode(f, np.array([1.0]), (0.0, 5.0))
+        attempts = traj.n_accepted + traj.n_rejected
+        assert len(calls) == traj.n_rhs_evals == 1 + 3 * attempts
+
+    @pytest.mark.parametrize("case", ["tridiag", "nonfinite"])
+    def test_residual_computed_only_inside_field_evaluations(self, case, monkeypatch):
+        calls = []
+
+        def counting_kernel(p, x):
+            calls.append(1)
+            return residual_kernel(p, x)
+
+        monkeypatch.setattr(socave.dynamics, "residual_kernel", counting_kernel)
+        if case == "tridiag":
+            p, _ = example_tridiag(100)
+            traj = integrate(p, DynamicsConfig(100.0), np.zeros(100), (0.0, 0.1))
+        else:
+            p = AveProblem(1e150 * np.eye(2), np.zeros(2), ConeStructure((2,)))
+            with np.errstate(over="ignore", invalid="ignore"):
+                traj = integrate(p, DynamicsConfig(1e100), [1.0, 0.0], (0.0, 1.0))
+            assert traj.n_rejected > 0
+        assert len(calls) == traj.n_rhs_evals == 1 + 3 * (traj.n_accepted + traj.n_rejected)

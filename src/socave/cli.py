@@ -12,6 +12,7 @@ suite criterion, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -108,6 +109,15 @@ def _parse_tolerances(text: str) -> list[float]:
     return tols
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """Turn an OSError raised while writing `path` into an InputError."""
+    try:
+        yield
+    except OSError as e:
+        raise InputError(f"cannot write {path}: {e.strerror or e}") from e
+
+
 def _indexed_path(path: str, idx: int, total: int) -> str:
     if total == 1:
         return path
@@ -154,10 +164,12 @@ def cmd_solve(args) -> int:
             n_rejected=traj.n_rejected,
             n_rhs_evals=traj.n_rhs_evals,
         ).to_dict())
-        write_trajectory_csv(_indexed_path(args.out, i, len(starts)), traj)
+        out = _indexed_path(args.out, i, len(starts))
+        with _writing(out):
+            write_trajectory_csv(out, traj)
         ok = ok and termination_ok(traj.termination)
 
-    with open(args.report, "w") as fh:
+    with _writing(args.report), open(args.report, "w") as fh:
         json.dump(reports[0] if len(reports) == 1 else reports, fh, indent=2)
         fh.write("\n")
     for rep in reports:
@@ -191,10 +203,13 @@ def cmd_suite(args) -> int:
         raise InputError(f"unknown suite {args.name!r}")
     from .experiments import run_paper_suite
 
-    os.makedirs(args.out_dir, exist_ok=True)
+    with _writing(args.out_dir):
+        os.makedirs(args.out_dir, exist_ok=True)
+    if not os.access(args.out_dir, os.W_OK | os.X_OK):
+        raise InputError(f"cannot write {args.out_dir}: directory is not writable")
     summary = run_paper_suite(out_dir=args.out_dir)
     path = os.path.join(args.out_dir, "summary.json")
-    with open(path, "w") as fh:
+    with _writing(path), open(path, "w") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
     for name, passed in summary["criteria"].items():

@@ -1,4 +1,7 @@
 import json
+import multiprocessing
+import os
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +116,19 @@ class TestSolve:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("out, report", [
+        ("nodir/t.csv", "nodir/r.json"),
+        ("t.csv", "nodir/r.json"),
+    ])
+    def test_unwritable_output_exits_1_without_traceback(self, tmp_path, capsys,
+                                                         out, report):
+        code = main(["solve", "--builtin", "unique", "--gamma", "2", "--tspan", "0,1",
+                     "--out", str(tmp_path / out), "--report", str(tmp_path / report)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ")
+        assert err.count("\n") == 1
+
     def test_tridiag_stays_banded_at_n_1e5(self, tmp_path):
         report = tmp_path / "r.json"
         code = main(["solve", "--builtin", "tridiag", "--n", "100000", "--gamma", "200",
@@ -167,4 +183,76 @@ class TestSuite:
 
         assert run_toy_experiment("unique") == run_toy_experiment("unique")
 
-    # the full paper-examples suite is exercised in test_acceptance
+    @pytest.mark.parametrize("sub", ["", "sub"])
+    def test_out_dir_under_a_file_exits_1(self, tmp_path, capsys, sub):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        assert main(["suite", "--name", "paper-examples",
+                     "--out-dir", str(afile / sub)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ")
+        assert err.count("\n") == 1
+
+    def test_unwritable_out_dir_exits_1_before_running(self, tmp_path, capsys,
+                                                       monkeypatch):
+        # root may write anywhere, so stand in for a read-only directory
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+        assert main(["suite", "--name", "paper-examples",
+                     "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot write ")
+        assert os.listdir(tmp_path) == []
+
+    def test_paper_suite_matches_a_serial_run(self, tmp_path, capsys):
+        """The CLI suite (n = 1000 in a forked worker) writes the same bytes as
+        the experiments run one after another in this process."""
+        from socave.experiments import run_toy_experiment, run_tridiag_experiment
+
+        out, ref = tmp_path / "out", tmp_path / "ref"
+        # recorded, not raised: CPython drops os.fork()'s warning about a
+        # multi-threaded parent when the "error" filter would raise it
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["suite", "--name", "paper-examples", "--out-dir", str(out)])
+        assert code == 0
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().out.count("PASS") == 5
+
+        ref.mkdir()
+        small = run_tridiag_experiment(n=100, out_dir=str(ref))
+        large = run_tridiag_experiment(n=1000, out_dir=str(ref))
+        toys = {name: run_toy_experiment(name, out_dir=str(ref))
+                for name in ("multi", "unique", "none")}
+        criteria = {
+            "tridiag_final_error": large["final_err_ok"],
+            "tridiag_gamma_speedup": large["gamma_speedup_ok"],
+            "multi_solutions_reached": toys["multi"]["all_ok"],
+            "unique_solution_reached": toys["unique"]["all_ok"],
+            "no_solution_divergence": toys["none"]["all_ok"],
+        }
+        summary = {"criteria": criteria, "all_ok": all(criteria.values()),
+                   "tridiag_n100": small, "tridiag_n1000": large, "toys": toys}
+        with open(ref / "summary.json", "w") as fh:
+            json.dump(summary, fh, indent=2)
+            fh.write("\n")
+
+        names = sorted(os.listdir(ref))
+        assert len(names) == 30  # 29 CSVs and summary.json
+        assert sorted(os.listdir(out)) == names
+        for name in names:
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
+    def test_worker_failure_propagates(self, tmp_path, monkeypatch):
+        import socave.experiments as experiments
+
+        original = experiments.run_tridiag_experiment
+
+        def failing(n, **kwargs):
+            if n == 1000:
+                raise ValueError("n = 1000 failed")
+            return original(n=n, **kwargs)
+
+        # bound before the fork, so the worker runs it too
+        monkeypatch.setattr(experiments, "run_tridiag_experiment", failing)
+        with pytest.raises(ValueError, match="n = 1000 failed"):
+            experiments.run_paper_suite(str(tmp_path))
+        assert multiprocessing.active_children() == []

@@ -162,6 +162,7 @@ def cmd_solve(args) -> int:
             wall_time_s=wall,
             n_accepted=traj.n_accepted,
             n_rejected=traj.n_rejected,
+            n_rejected_nonfinite=traj.n_rejected_nonfinite,
             n_rhs_evals=traj.n_rhs_evals,
         ).to_dict())
         out = _indexed_path(args.out, i, len(starts))

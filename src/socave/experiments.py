@@ -8,6 +8,7 @@ writes a CSV per trajectory. Everything here is deterministic.
 from __future__ import annotations
 
 import os
+import pickle
 
 import numpy as np
 
@@ -121,33 +122,70 @@ def run_toy_experiment(name: str, out_dir=None) -> dict:
     return {"name": name, "runs": runs, "all_ok": all(r["ok"] for r in runs)}
 
 
-def _run_tridiag_large(out_dir) -> dict:
-    # module-level, so the pool can pickle it by name; it looks up
-    # run_tridiag_experiment in the worker, so a replacement bound in this
-    # module before the fork applies there too
-    return run_tridiag_experiment(n=1000, out_dir=out_dir)
+def _fork_alongside(child, here):
+    """(child(), here()), with child run in a forked process while here runs
+    in this one.
+
+    The child sends back its result, or any exception it raised (SystemExit
+    too), pickled through a pipe, and leaves only through os._exit, so it
+    never runs the caller's code. It is reaped on every path. An exception
+    from here is raised first; otherwise the child's is raised here, and a
+    child that exits without sending a result (say, an unpicklable one)
+    gives a RuntimeError.
+    """
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            try:
+                result = (True, child())
+            except BaseException as e:
+                result = (False, e)
+            with open(w, "wb") as fh:
+                pickle.dump(result, fh)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    try:
+        mine = here()
+    finally:
+        # read to EOF first: a child blocked on a full pipe would never exit
+        with open(r, "rb") as fh:
+            data = fh.read()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status != 0:
+        raise RuntimeError(f"the forked child exited with status {status} "
+                           "without a result")
+    ok, theirs = pickle.loads(data)
+    if not ok:
+        raise theirs
+    return theirs, mine
 
 
 def run_paper_suite(out_dir=None) -> dict:
     """Full reference-experiment suite; returns summary with per-criterion flags.
 
-    The n = 1000 tridiagonal experiment is independent of the rest, so one
-    forked worker runs it, and writes its CSVs, while this process runs the
-    toys; only its result dict comes back. The outputs are those of a
-    serial run. A failure in the worker is raised here.
+    The n = 1000 tridiagonal experiment is independent of the rest, so a
+    child forked first runs it, and writes its CSVs, while this process
+    runs the n = 100 experiment and the toys; only its result dict comes
+    back. The outputs are those of a serial run. A failure in the child is
+    raised here.
     """
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-    tridiag_small = run_tridiag_experiment(n=100, out_dir=out_dir)
-    # imported here, after the first experiment, to keep them out of set-up
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
-        large = pool.submit(_run_tridiag_large, out_dir)
-        toys = {name: run_toy_experiment(name, out_dir=out_dir)
-                for name in ("multi", "unique", "none")}
-        tridiag_large = large.result()
+    def rest():
+        small = run_tridiag_experiment(n=100, out_dir=out_dir)
+        return small, {name: run_toy_experiment(name, out_dir=out_dir)
+                       for name in ("multi", "unique", "none")}
+
+    # run_tridiag_experiment is looked up at the call, so a replacement
+    # bound in this module before the fork runs in the child too
+    tridiag_large, (tridiag_small, toys) = _fork_alongside(
+        lambda: run_tridiag_experiment(n=1000, out_dir=out_dir), rest)
     criteria = {
         "tridiag_final_error": tridiag_large["final_err_ok"],
         "tridiag_gamma_speedup": tridiag_large["gamma_speedup_ok"],

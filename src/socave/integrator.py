@@ -57,6 +57,9 @@ class Trajectory:
     termination: Termination
     n_accepted: int
     n_rejected: int
+    # of n_rejected, the steps whose error estimate was infinite: a
+    # non-finite stage, or an error past the float range
+    n_rejected_nonfinite: int = 0
 
     @property
     def final_state(self) -> np.ndarray:
@@ -76,30 +79,32 @@ def rk23_step(f, t, x, h, rtol=1e-6, atol=1e-9, k1=None):
     values yield an infinite estimate so the caller rejects the step.
     """
     x = np.asarray(x, dtype=float)
-    if k1 is None:
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        if k1 is None:
             k1 = f(t, x)
-    return _bs_step(lambda s, y: (f(s, y), None), t, x, h, rtol, atol, k1)[:2]
+        return _bs_step(lambda s, y: (f(s, y), None), t, x, h, rtol, atol, k1)[:2]
 
 
 def _bs_step(field, t, x, h, rtol, atol, k1):
-    """rk23_step for a field(t, x) -> (dx/dt, aux) with k1 given.
+    """rk23_step for a field(t, x) -> (dx/dt, aux) with k1 given and a
+    finite x; the caller ignores overflow and invalid-value warnings.
 
     Returns (x_high, err, k4, aux4). Bogacki-Shampine is FSAL: k4 is the
     field at (t + h, x_high), so after an accepted step it is the next
     step's k1, and aux4 is whatever the field computed along with it.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        k2 = field(t + 0.5 * h, x + (0.5 * h) * k1)[0]
-        k3 = field(t + 0.75 * h, x + (0.75 * h) * k2)[0]
-        # integer-weight forms keep the estimate exactly zero when all stages agree
-        x_high = x + h * ((2.0 * k1 + 3.0 * k2 + 4.0 * k3) / 9.0)
-        k4, aux4 = field(t + h, x_high)
-        err_vec = (h / 72.0) * (-5.0 * k1 + 6.0 * k2 + 8.0 * k3 - 9.0 * k4)
-    if not (np.all(np.isfinite(x_high)) and np.all(np.isfinite(err_vec))):
-        return x_high, math.inf, k4, aux4
+    k2 = field(t + 0.5 * h, x + (0.5 * h) * k1)[0]
+    k3 = field(t + 0.75 * h, x + (0.75 * h) * k2)[0]
+    # integer-weight forms keep the estimate exactly zero when all stages agree
+    x_high = x + h * ((2.0 * k1 + 3.0 * k2 + 4.0 * k3) / 9.0)
+    k4, aux4 = field(t + h, x_high)
+    err_vec = (h / 72.0) * (-5.0 * k1 + 6.0 * k2 + 8.0 * k3 - 9.0 * k4)
     scale = atol + rtol * np.maximum(np.abs(x), np.abs(x_high))
     err = float(np.max(np.abs(err_vec) / scale)) if x.size else 0.0
+    # inf and nan in err_vec survive the division by scale > 0 and np.max,
+    # so these are the steps that separate tests of x_high and err_vec reject
+    if not (math.isfinite(err) and np.isfinite(x_high).all()):
+        return x_high, math.inf, k4, aux4
     return x_high, err, k4, aux4
 
 
@@ -147,42 +152,46 @@ def _integrate(field, x0, tspan, opts: IntegratorOptions) -> Trajectory:
     res_norms = [rnorm]
     n_accepted = 0
     n_rejected = 0
+    n_rejected_nonfinite = 0
     termination = None
 
     if opts.stop_on_residual is not None and rnorm <= opts.stop_on_residual:
         termination = Termination.RESIDUAL_EVENT
 
-    while termination is None:
-        if n_accepted + n_rejected >= opts.max_steps:
-            termination = Termination.MAX_STEPS
-            break
-        h_trial = min(h, tf - t)
-        x_new, err, k4, aux4 = _bs_step(field, t, x, h_trial, opts.rtol, opts.atol, fx)
-        if err <= 1.0:
-            t = t + h_trial
-            x, fx = x_new, k4
-            n_accepted += 1
-            rnorm = float(np.linalg.norm(aux4))
-            event = (opts.stop_on_residual is not None
-                     and rnorm <= opts.stop_on_residual)
-            # robust endpoint test: floating accumulation can leave t a few
-            # ulps short of tf after the final truncated step
-            done = (tf - t) <= 1e-13 * (tf - t0)
-            if event:
-                termination = Termination.RESIDUAL_EVENT
-            elif done:
-                termination = Termination.REACHED_TF
-            if termination is not None or n_accepted % opts.record_stride == 0:
-                times.append(t)
-                states.append(x)
-                res_norms.append(rnorm)
-        else:
-            n_rejected += 1
-        h = h_trial * _step_factor(err)
-        if opts.h_max is not None:
-            h = min(h, opts.h_max)
-        if termination is None and h < opts.h_min:
-            termination = Termination.STEP_UNDERFLOW
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite stages are rejected
+        while termination is None:
+            if n_accepted + n_rejected >= opts.max_steps:
+                termination = Termination.MAX_STEPS
+                break
+            h_trial = min(h, tf - t)
+            x_new, err, k4, aux4 = _bs_step(field, t, x, h_trial, opts.rtol, opts.atol, fx)
+            if err <= 1.0:
+                t = t + h_trial
+                x, fx = x_new, k4
+                n_accepted += 1
+                rnorm = math.sqrt(aux4.dot(aux4))  # np.linalg.norm's arithmetic
+                event = (opts.stop_on_residual is not None
+                         and rnorm <= opts.stop_on_residual)
+                # robust endpoint test: floating accumulation can leave t a few
+                # ulps short of tf after the final truncated step
+                done = (tf - t) <= 1e-13 * (tf - t0)
+                if event:
+                    termination = Termination.RESIDUAL_EVENT
+                elif done:
+                    termination = Termination.REACHED_TF
+                if termination is not None or n_accepted % opts.record_stride == 0:
+                    times.append(t)
+                    states.append(x)
+                    res_norms.append(rnorm)
+            else:
+                n_rejected += 1
+                if err == math.inf:
+                    n_rejected_nonfinite += 1
+            h = h_trial * _step_factor(err)
+            if opts.h_max is not None:
+                h = min(h, opts.h_max)
+            if termination is None and h < opts.h_min:
+                termination = Termination.STEP_UNDERFLOW
 
     if times[-1] < t:  # make sure the last accepted state is recorded
         times.append(t)
@@ -196,6 +205,7 @@ def _integrate(field, x0, tspan, opts: IntegratorOptions) -> Trajectory:
         termination=termination,
         n_accepted=n_accepted,
         n_rejected=n_rejected,
+        n_rejected_nonfinite=n_rejected_nonfinite,
     )
 
 

@@ -117,6 +117,9 @@ class TridiagToeplitz:
             if not math.isfinite(value):
                 raise ValueError(f"tridiag {name} must be finite")
             object.__setattr__(self, name, value)
+        # the convolution kernels of matvec and rmatvec, built once
+        object.__setattr__(self, "_kernel", np.array([self.sup, self.diag, self.sub]))
+        object.__setattr__(self, "_rkernel", np.array([self.sub, self.diag, self.sup]))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -132,10 +135,10 @@ class TridiagToeplitz:
     # One pass into one array, where three shifted vector ops would also
     # allocate two temporaries
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        return np.convolve(x, (self.sup, self.diag, self.sub))[1:-1]
+        return np.convolve(x, self._kernel)[1:-1]
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        return np.convolve(x, (self.sub, self.diag, self.sup))[1:-1]
+        return np.convolve(x, self._rkernel)[1:-1]
 
     def to_dense(self) -> np.ndarray:
         return build_tridiag(self.n, self.sub, self.diag, self.sup)

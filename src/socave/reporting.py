@@ -52,6 +52,7 @@ class SolveReport:
     wall_time_s: float
     n_accepted: int
     n_rejected: int
+    n_rejected_nonfinite: int
     n_rhs_evals: int
 
     def to_dict(self) -> dict:

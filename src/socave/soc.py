@@ -8,6 +8,7 @@ of such blocks and every operation here is applied blockwise.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,17 +32,21 @@ class ConeStructure:
             raise ValueError("at least one block required")
         if any(b < 1 for b in self.blocks):
             raise ValueError("block sizes must be positive")
+        # built once for the hot kernels: per block (slice, head index, tail
+        # slice or None for a size-1 block)
+        parts, start = [], 0
+        for b in self.blocks:
+            parts.append((slice(start, start + b), start,
+                          slice(start + 1, start + b) if b > 1 else None))
+            start += b
+        object.__setattr__(self, "_parts", tuple(parts))
 
     @property
     def dim(self) -> int:
         return sum(self.blocks)
 
     def slices(self) -> list[slice]:
-        out, start = [], 0
-        for b in self.blocks:
-            out.append(slice(start, start + b))
-            start += b
-        return out
+        return [sl for sl, _, _ in self._parts]
 
 
 @dataclass(frozen=True)
@@ -117,22 +122,27 @@ def soc_abs(x, cone: ConeStructure) -> np.ndarray:
 def abs_kernel(x: np.ndarray, cone: ConeStructure) -> np.ndarray:
     """soc_abs without input validation, for the integrator's hot path: x
     must be a float vector of dimension cone.dim; non-finite entries give
-    non-finite output instead of an error."""
+    non-finite output instead of an error.
+
+    The head is a Python float and the tail norm is sqrt(tail . tail), the
+    arithmetic of np.linalg.norm for a real vector, so the result is that
+    of the _tail_norm form bit for bit."""
     out = np.empty_like(x)
-    for sl in cone.slices():
-        xb = x[sl]
-        if xb.shape[0] == 1:
-            out[sl] = abs(xb[0])
+    for _, i, tail in cone._parts:
+        x1 = float(x[i])
+        if tail is None:
+            out[i] = abs(x1)
             continue
-        s = _tail_norm(xb)
-        if s == 0.0:
-            out[sl][0] = abs(xb[0])
-            out[sl][1:] = 0.0
+        xt = x[tail]
+        s = math.sqrt(xt.dot(xt))
+        if s < TAIL_ZERO_TOL:
+            out[i] = abs(x1)
+            out[tail] = 0.0
         else:
-            lo = abs(xb[0] - s)
-            hi = abs(xb[0] + s)
-            out[sl][0] = 0.5 * (lo + hi)
-            out[sl][1:] = (0.5 * (hi - lo) / s) * xb[1:]
+            lo = abs(x1 - s)
+            hi = abs(x1 + s)
+            out[i] = 0.5 * (lo + hi)
+            np.multiply(0.5 * (hi - lo) / s, xt, out=out[tail])
     return out
 
 

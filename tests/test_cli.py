@@ -1,12 +1,14 @@
 import json
-import multiprocessing
 import os
+import sys
+import time
 import warnings
 
 import numpy as np
 import pytest
 
 from socave.cli import main
+from socave.experiments import _fork_alongside
 from socave.model import save_problem
 from socave.problems import example_toy
 from socave.reporting import read_trajectory_csv
@@ -17,6 +19,12 @@ def unique_file(tmp_path):
     path = tmp_path / "unique.json"
     save_problem(path, example_toy("unique"), x_star=[0.0, 1.0])
     return str(path)
+
+
+def assert_no_child_left():
+    """No child of this process is running or waiting to be reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def write_vector(tmp_path, name, values):
@@ -251,8 +259,41 @@ class TestSuite:
                 raise ValueError("n = 1000 failed")
             return original(n=n, **kwargs)
 
-        # bound before the fork, so the worker runs it too
+        # bound before the fork, so the child runs it too
         monkeypatch.setattr(experiments, "run_tridiag_experiment", failing)
         with pytest.raises(ValueError, match="n = 1000 failed"):
             experiments.run_paper_suite(str(tmp_path))
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
+
+
+class TestForkAlongside:
+    def test_returns_both_results(self):
+        theirs, mine = _fork_alongside(os.getpid, os.getpid)
+        assert mine == os.getpid() != theirs
+        assert_no_child_left()
+
+    def test_failure_here_wins_and_the_child_is_reaped(self):
+        def child():
+            time.sleep(0.2)  # still running when this side fails
+            raise ValueError("child failed")
+
+        def here():
+            raise KeyError("here failed")
+
+        with pytest.raises(KeyError, match="here failed"):
+            _fork_alongside(child, here)
+        assert_no_child_left()
+
+    def test_child_base_exception_comes_back(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            _fork_alongside(lambda: sys.exit(3), lambda: None)
+        # a child that let SystemExit escape would run on from here
+        (tmp_path / str(os.getpid())).touch()
+        assert exc.value.code == 3
+        assert os.listdir(tmp_path) == [str(os.getpid())]
+        assert_no_child_left()
+
+    def test_unpicklable_child_result_is_a_runtime_error(self):
+        with pytest.raises(RuntimeError, match="exited with status 1 without a result"):
+            _fork_alongside(lambda: (lambda: None), lambda: None)
+        assert_no_child_left()

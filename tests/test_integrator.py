@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +42,13 @@ class TestRk23Step:
             return y * 1e200
         _, err = rk23_step(f, 0.0, np.array([1e200]), 1.0)
         assert err == math.inf
+
+    def test_nonfinite_stage_emits_no_warning(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _, err = rk23_step(lambda t, y: y * 1e200, 0.0, np.array([1e200]), 1.0)
+        assert err == math.inf
+        assert [str(w.message) for w in caught] == []
 
 
 class TestOptions:
@@ -136,6 +144,12 @@ class TestIntegrate:
             traj = integrate(p, DynamicsConfig(1e100), [1.0, 0.0], (0.0, 1.0))
         assert traj.termination in (Termination.STEP_UNDERFLOW, Termination.MAX_STEPS)
         assert traj.n_rejected > 0
+        assert traj.n_rejected_nonfinite == traj.n_rejected
+
+    def test_error_norm_rejections_are_not_counted_as_nonfinite(self):
+        traj = integrate(example_toy("none"), DynamicsConfig(2.0), [-2.0, 3.0], (0.0, 10.0))
+        assert traj.n_rejected > 0
+        assert traj.n_rejected_nonfinite == 0
 
     def test_validates_x0(self):
         p = example_toy("unique")
@@ -301,6 +315,34 @@ class TestFsalStepLoop:
         _assert_same_run(traj, ref)
         if case == "many_block":
             assert traj.termination is Termination.RESIDUAL_EVENT
+
+    def test_nonfinite_stages_match_reference_loop(self):
+        # every stage overflows from the first: all steps are rejected
+        p = AveProblem(1e150 * np.eye(2), np.zeros(2), ConeStructure((2,)))
+        cfg = DynamicsConfig(1e100)
+        x0, tspan, opts = np.array([1.0, 0.0]), (0.0, 1.0), IntegratorOptions()
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = integrate(p, cfg, x0, tspan, opts)
+            ref = _seed_integrate_ode(lambda t, x: rhs(p, cfg, x), x0, tspan, opts,
+                                      lambda x: np.linalg.norm(residual_kernel(p, x)))
+        _assert_same_run(traj, ref)
+        assert traj.termination is Termination.STEP_UNDERFLOW
+        assert traj.n_rejected_nonfinite == traj.n_rejected > 0
+
+    def test_overflowing_state_with_finite_error_is_rejected(self):
+        # all stages equal 1e300, so err_vec is exactly 0 while x_high
+        # overflows near the top of the float range: only the test of
+        # x_high rejects those steps
+        def f(t, y):
+            return np.full(1, 1e300)
+
+        x0, tspan, opts = np.array([1.7e308]), (0.0, 1e9), IntegratorOptions(max_steps=300)
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = integrate_ode(f, x0, tspan, opts)
+            ref = _seed_integrate_ode(f, x0, tspan, opts)
+        _assert_same_run(traj, ref)
+        assert np.all(np.isfinite(traj.states))
+        assert traj.n_rejected_nonfinite == traj.n_rejected > 0
 
     def test_time_dependent_field_records_its_norm(self):
         # FSAL is exact even when f depends on t: k4 is f at (t + h, x_high)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from socave.linalg import (
     DenseOperator,
@@ -119,6 +121,22 @@ class TestTridiagToeplitz:
             x = rng.standard_normal(n)
             assert np.allclose(op.matvec(x), A @ x, rtol=1e-14, atol=1e-14)
             assert np.allclose(op.rmatvec(x), A.T @ x, rtol=1e-14, atol=1e-14)
+
+    @given(st.data())
+    def test_products_match_tuple_kernel_convolution(self, data):
+        # the products are those of np.convolve with a kernel built from a
+        # tuple on every call, bit for bit, non-finite entries included
+        coeff = st.floats(-1e300, 1e300)
+        op = TridiagToeplitz(data.draw(st.integers(1, 12)), data.draw(coeff),
+                             data.draw(coeff), data.draw(coeff))
+        x = np.array(data.draw(st.lists(st.floats(width=64), min_size=op.n,
+                                        max_size=op.n)), dtype=float)
+        with np.errstate(all="ignore"):
+            pairs = [(op.matvec(x), np.convolve(x, (op.sup, op.diag, op.sub))[1:-1]),
+                     (op.rmatvec(x), np.convolve(x, (op.sub, op.diag, op.sup))[1:-1])]
+        for got, expected in pairs:
+            assert np.array_equal(got, expected, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
 
     @pytest.mark.parametrize("n", SIZES)
     @pytest.mark.parametrize("coeffs", SYMMETRIC)

@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from socave.soc import (
+    TAIL_ZERO_TOL,
     ConeStructure,
+    abs_kernel,
     Membership,
     complementarity_residual,
     cone_membership,
@@ -228,3 +232,80 @@ def test_blockwise_matches_per_block(seed):
     for b, sl in zip(cone.blocks, cone.slices()):
         single = soc_abs(x[sl], ConeStructure((b,)))
         assert np.allclose(full[sl], single, atol=1e-14)
+
+
+def _reference_abs_kernel(x, cone):
+    """abs_kernel as it was with numpy-scalar heads and np.linalg.norm tails,
+    kept here as the reference the kernel must match bit for bit."""
+    out = np.empty_like(x)
+    for sl in cone.slices():
+        xb = x[sl]
+        if xb.shape[0] == 1:
+            out[sl] = abs(xb[0])
+            continue
+        s = float(np.linalg.norm(xb[1:]))
+        if s < TAIL_ZERO_TOL:
+            s = 0.0
+        if s == 0.0:
+            out[sl][0] = abs(xb[0])
+            out[sl][1:] = 0.0
+        else:
+            lo = abs(xb[0] - s)
+            hi = abs(xb[0] + s)
+            out[sl][0] = 0.5 * (lo + hi)
+            out[sl][1:] = (0.5 * (hi - lo) / s) * xb[1:]
+    return out
+
+
+def _bits(a):
+    """The bytes of a with every NaN made the same NaN: equal bits means the
+    same values, signed zeros and NaN positions included."""
+    return np.where(np.isnan(a), np.nan, a).tobytes()
+
+
+BELOW_TOL = float(np.nextafter(TAIL_ZERO_TOL, 0.0))
+ABOVE_TOL = float(np.nextafter(TAIL_ZERO_TOL, 1.0))
+SPECIAL = [0.0, -0.0, 1.0, -2.5, TAIL_ZERO_TOL, -TAIL_ZERO_TOL, BELOW_TOL, ABOVE_TOL,
+           0.6 * TAIL_ZERO_TOL, 0.8 * TAIL_ZERO_TOL, 1e-300, 1e308, -1e308,
+           math.inf, -math.inf, math.nan]
+entries = st.one_of(st.floats(width=64), st.sampled_from(SPECIAL))
+
+
+@st.composite
+def cone_and_vector(draw):
+    cone = ConeStructure(draw(st.lists(st.integers(1, 5), min_size=1, max_size=6)))
+    x = draw(st.lists(entries, min_size=cone.dim, max_size=cone.dim))
+    return cone, np.array(x, dtype=float)
+
+
+def _case(blocks, x):
+    return ConeStructure(blocks), np.array(x, dtype=float)
+
+
+class TestAbsKernelBitwise:
+    """abs_kernel keeps every IEEE operation of the reference form."""
+
+    @settings(max_examples=300)
+    @given(cone_and_vector())
+    @example(_case((1, 1, 1), [-0.0, -3.0, math.nan]))  # size-1 blocks
+    @example(_case((3, 2), [-2.0, 0.0, 0.0, 5.0, -0.0]))  # zero tails
+    # tails with norm just below, at and above TAIL_ZERO_TOL; 0.6 and 0.8 of
+    # it make a tail of norm TAIL_ZERO_TOL up to rounding
+    @example(_case((2, 2, 2, 3), [1.0, BELOW_TOL, -1.0, TAIL_ZERO_TOL, 0.5, -ABOVE_TOL,
+                                  0.0, 0.6 * TAIL_ZERO_TOL, 0.8 * TAIL_ZERO_TOL]))
+    @example(_case((3, 3, 2), [math.inf, 1.0, 2.0, 1.0, -math.inf, 0.0, math.nan, 1.0]))
+    @example(_case((2, 3), [-math.inf, math.inf, 1.0, math.nan, 0.0]))
+    @example(_case((3,), [1e308, 1e308, -1e308]))  # the tail norm overflows
+    def test_matches_reference(self, case):
+        cone, x = case
+        with np.errstate(all="ignore"):
+            expected = _reference_abs_kernel(x, cone)
+            got = abs_kernel(x, cone)
+        assert _bits(got) == _bits(expected)
+
+    @given(st.lists(entries, min_size=1, max_size=40))
+    def test_tail_norm_is_the_arithmetic_of_linalg_norm(self, values):
+        tail = np.array([0.0, *values])[1:]  # a view at an offset, as in the kernel
+        with np.errstate(all="ignore"):
+            assert _bits(np.array(math.sqrt(tail.dot(tail)))) == \
+                _bits(np.array(float(np.linalg.norm(tail))))

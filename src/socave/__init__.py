@@ -15,13 +15,7 @@ from .integrator import (
     rk23_step,
     time_to_tolerance,
 )
-from .linalg import (
-    DenseOperator,
-    TridiagToeplitz,
-    build_tridiag,
-    min_singular_value,
-    spectral_norm,
-)
+from .linalg import DenseOperator, TridiagToeplitz
 from .model import (
     AveProblem,
     Solvability,

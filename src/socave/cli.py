@@ -125,6 +125,8 @@ def _indexed_path(path: str, idx: int, total: int) -> str:
     return f"{stem}_{idx:03d}{ext}"
 
 
+# a residual of finite inputs can overflow: it is reported, not warned about
+@np.errstate(over="ignore", invalid="ignore")
 def cmd_solve(args) -> int:
     p, x_star = _load_cli_problem(args)
     tspan = _parse_tspan(args.tspan)
@@ -179,6 +181,7 @@ def cmd_solve(args) -> int:
     return 0 if ok else 2
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def cmd_verify(args) -> int:
     p, _ = _load_cli_problem(args)
     x = _load_vector_file(args.x)

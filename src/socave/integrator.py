@@ -20,6 +20,10 @@ from .linalg import as_vector
 from .model import AveProblem
 
 
+# the step-size floor: a step size below it ends the run in STEP_UNDERFLOW
+H_MIN = 1e-14
+
+
 class Termination(enum.Enum):
     REACHED_TF = "ReachedTf"
     RESIDUAL_EVENT = "ResidualEvent"
@@ -31,9 +35,6 @@ class Termination(enum.Enum):
 class IntegratorOptions:
     rtol: float = 1e-6
     atol: float = 1e-9
-    h_init: float | None = None
-    h_min: float = 1e-14
-    h_max: float | None = None
     max_steps: int = 1_000_000
     stop_on_residual: float | None = None
     record_stride: int = 1
@@ -41,8 +42,6 @@ class IntegratorOptions:
     def __post_init__(self):
         if self.rtol <= 0 or self.atol <= 0:
             raise ValueError("rtol and atol must be > 0")
-        if self.h_init is not None and self.h_init <= 0:
-            raise ValueError("h_init must be > 0")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
         if self.max_steps < 1:
@@ -127,6 +126,9 @@ def integrate_ode(f, x0, tspan, opts: IntegratorOptions = IntegratorOptions()) -
     return _integrate(field, x0, tspan, opts)
 
 
+# non-finite values are not errors here, from x0 on: a non-finite stage is
+# a rejected step
+@np.errstate(over="ignore", invalid="ignore")
 def _integrate(field, x0, tspan, opts: IntegratorOptions) -> Trajectory:
     """The step loop of integrate_ode for a field(t, x) -> (dx/dt, aux).
 
@@ -138,11 +140,7 @@ def _integrate(field, x0, tspan, opts: IntegratorOptions) -> Trajectory:
         raise ValueError("tspan must satisfy t0 < tf")
     x = np.array(x0, dtype=float)
 
-    h = opts.h_init if opts.h_init is not None else 0.01 * (tf - t0)
-    if opts.h_max is not None:
-        h = min(h, opts.h_max)
-    h = max(h, opts.h_min)
-
+    h = max(0.01 * (tf - t0), H_MIN)
     fx, aux = field(t0, x)
     t = t0
     rnorm = float(np.linalg.norm(aux))
@@ -158,40 +156,37 @@ def _integrate(field, x0, tspan, opts: IntegratorOptions) -> Trajectory:
     if opts.stop_on_residual is not None and rnorm <= opts.stop_on_residual:
         termination = Termination.RESIDUAL_EVENT
 
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite stages are rejected
-        while termination is None:
-            if n_accepted + n_rejected >= opts.max_steps:
-                termination = Termination.MAX_STEPS
-                break
-            h_trial = min(h, tf - t)
-            x_new, err, k4, aux4 = _bs_step(field, t, x, h_trial, opts.rtol, opts.atol, fx)
-            if err <= 1.0:
-                t = t + h_trial
-                x, fx = x_new, k4
-                n_accepted += 1
-                rnorm = math.sqrt(aux4.dot(aux4))  # np.linalg.norm's arithmetic
-                event = (opts.stop_on_residual is not None
-                         and rnorm <= opts.stop_on_residual)
-                # robust endpoint test: floating accumulation can leave t a few
-                # ulps short of tf after the final truncated step
-                done = (tf - t) <= 1e-13 * (tf - t0)
-                if event:
-                    termination = Termination.RESIDUAL_EVENT
-                elif done:
-                    termination = Termination.REACHED_TF
-                if termination is not None or n_accepted % opts.record_stride == 0:
-                    times.append(t)
-                    states.append(x)
-                    res_norms.append(rnorm)
-            else:
-                n_rejected += 1
-                if err == math.inf:
-                    n_rejected_nonfinite += 1
-            h = h_trial * _step_factor(err)
-            if opts.h_max is not None:
-                h = min(h, opts.h_max)
-            if termination is None and h < opts.h_min:
-                termination = Termination.STEP_UNDERFLOW
+    while termination is None:
+        if n_accepted + n_rejected >= opts.max_steps:
+            termination = Termination.MAX_STEPS
+            break
+        h_trial = min(h, tf - t)
+        x_new, err, k4, aux4 = _bs_step(field, t, x, h_trial, opts.rtol, opts.atol, fx)
+        if err <= 1.0:
+            t = t + h_trial
+            x, fx = x_new, k4
+            n_accepted += 1
+            rnorm = math.sqrt(aux4.dot(aux4))  # np.linalg.norm's arithmetic
+            event = (opts.stop_on_residual is not None
+                     and rnorm <= opts.stop_on_residual)
+            # robust endpoint test: floating accumulation can leave t a few
+            # ulps short of tf after the final truncated step
+            done = (tf - t) <= 1e-13 * (tf - t0)
+            if event:
+                termination = Termination.RESIDUAL_EVENT
+            elif done:
+                termination = Termination.REACHED_TF
+            if termination is not None or n_accepted % opts.record_stride == 0:
+                times.append(t)
+                states.append(x)
+                res_norms.append(rnorm)
+        else:
+            n_rejected += 1
+            if err == math.inf:
+                n_rejected_nonfinite += 1
+        h = h_trial * _step_factor(err)
+        if termination is None and h < H_MIN:
+            termination = Termination.STEP_UNDERFLOW
 
     if times[-1] < t:  # make sure the last accepted state is recorded
         times.append(t)

@@ -1,5 +1,5 @@
-"""Linear algebra: input validation, extremal singular values and the
-linear operators that hold a problem's matrix.
+"""Linear algebra: input validation and the linear operators that hold a
+problem's matrix, with their extremal singular values.
 
 Vectors are plain float64 numpy arrays throughout the package. A problem's
 matrix is a linear operator: a DenseOperator around a stored array, or a
@@ -10,6 +10,7 @@ problems never allocate an n-by-n array.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,33 +38,12 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     return x
 
 
-def build_tridiag(n: int, sub: float, diag: float, sup: float) -> np.ndarray:
-    """n-by-n matrix with constant sub-, main and super-diagonal entries."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    A = np.zeros((n, n))
-    np.fill_diagonal(A, diag)
-    if n > 1:
-        idx = np.arange(n - 1)
-        A[idx + 1, idx] = sub
-        A[idx, idx + 1] = sup
-    return A
-
-
-def spectral_norm(A) -> float:
-    """Largest singular value (operator 2-norm) via dense SVD."""
-    A = as_matrix(A)
-    if A.size == 0:
-        return 0.0
-    return float(np.linalg.svd(A, compute_uv=False)[0])
-
-
-def min_singular_value(A) -> float:
-    """Smallest singular value; 0 for singular matrices."""
-    A = as_matrix(A)
-    if A.shape[0] != A.shape[1]:
-        raise ValueError("matrix must be square")
-    return float(np.linalg.svd(A, compute_uv=False)[-1])
+def as_integer(v, what: str) -> int:
+    """Validate and return an integer (not a bool) or integer-valued float."""
+    if isinstance(v, bool) or not (isinstance(v, numbers.Integral)
+                                   or isinstance(v, float) and v.is_integer()):
+        raise ValueError(f"{what} must be an integer, got {v!r}")
+    return int(v)
 
 
 class DenseOperator:
@@ -93,10 +73,10 @@ class DenseOperator:
         return self.array
 
     def sigma_min(self) -> float:
-        return min_singular_value(self.array)
+        return float(np.linalg.svd(self.array, compute_uv=False)[-1])
 
     def norm(self) -> float:
-        return spectral_norm(self.array)
+        return float(np.linalg.svd(self.array, compute_uv=False)[0])
 
 
 @dataclass(frozen=True)
@@ -141,7 +121,12 @@ class TridiagToeplitz:
         return np.convolve(x, self._rkernel)[1:-1]
 
     def to_dense(self) -> np.ndarray:
-        return build_tridiag(self.n, self.sub, self.diag, self.sup)
+        A = np.zeros((self.n, self.n))
+        np.fill_diagonal(A, self.diag)
+        idx = np.arange(self.n - 1)
+        A[idx + 1, idx] = self.sub
+        A[idx, idx + 1] = self.sup
+        return A
 
     def _singular_values(self) -> np.ndarray:
         """Unordered singular values. With sub == sup the matrix is symmetric,

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DenseOperator, TridiagToeplitz, as_vector
-from .soc import ConeStructure, abs_kernel, project_cone
+from .linalg import DenseOperator, TridiagToeplitz, as_integer, as_vector
+from .soc import ConeStructure, abs_kernel, project_kernel
 
 CERT_EPS = 1e-10
 
@@ -81,9 +81,10 @@ def qf_maps(p: AveProblem, x) -> tuple[np.ndarray, np.ndarray]:
 
 
 def residual_projection_form(p: AveProblem, x) -> np.ndarray:
-    """Q(x) - P_K[Q(x) - F(x)]; provably identical to residual()."""
+    """Q(x) - P_K[Q(x) - F(x)]; provably identical to residual(). An
+    overflow in Q gives a non-finite residual, not an error."""
     q, f = qf_maps(p, x)
-    return q - project_cone(q - f, p.cone)
+    return q - project_kernel(q - f, p.cone)
 
 
 def is_solution(p: AveProblem, x, tol: float) -> bool:
@@ -141,7 +142,7 @@ def problem_to_dict(p: AveProblem, x_star=None) -> dict:
 def problem_from_dict(d: dict) -> tuple[AveProblem, np.ndarray | None]:
     """Build a problem (and optional known solution) from the JSON schema."""
     try:
-        n = int(d["n"])
+        n = as_integer(d["n"], "n")
         cone = ConeStructure(tuple(d["cone_blocks"]))
         spec = d["A"]
         kind = spec["kind"]

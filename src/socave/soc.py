@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_vector
+from .linalg import as_integer, as_vector
 
 # below this, the tail of a block is treated as exactly zero (both branch
 # limits of the spectral formulas agree there)
@@ -27,17 +27,17 @@ class ConeStructure:
     blocks: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(int(b) for b in self.blocks))
+        object.__setattr__(self, "blocks",
+                           tuple(as_integer(b, "block size") for b in self.blocks))
         if not self.blocks:
             raise ValueError("at least one block required")
         if any(b < 1 for b in self.blocks):
             raise ValueError("block sizes must be positive")
-        # built once for the hot kernels: per block (slice, head index, tail
-        # slice or None for a size-1 block)
+        # built once for the kernels: per block (head index, tail slice); the
+        # tail of a size-1 block is empty
         parts, start = [], 0
         for b in self.blocks:
-            parts.append((slice(start, start + b), start,
-                          slice(start + 1, start + b) if b > 1 else None))
+            parts.append((start, slice(start + 1, start + b)))
             start += b
         object.__setattr__(self, "_parts", tuple(parts))
 
@@ -46,7 +46,7 @@ class ConeStructure:
         return sum(self.blocks)
 
     def slices(self) -> list[slice]:
-        return [sl for sl, _, _ in self._parts]
+        return [slice(i, tail.stop) for i, tail in self._parts]
 
 
 @dataclass(frozen=True)
@@ -70,15 +70,19 @@ class Membership(enum.Enum):
     NEITHER = "Neither"
 
 
-def _tail_norm(xb: np.ndarray) -> float:
-    s = float(np.linalg.norm(xb[1:]))
-    return 0.0 if s < TAIL_ZERO_TOL else s
+def _split(x: np.ndarray, i: int, tail: slice):
+    """(x1, s, x2) of the block of x with head index i: x2 = x[tail] and
+    s = ||x2||, taken as 0 below TAIL_ZERO_TOL. s is sqrt(x2 . x2), the
+    arithmetic of np.linalg.norm for a real vector."""
+    x2 = x[tail]
+    s = math.sqrt(x2.dot(x2))
+    return x[i], (0.0 if s < TAIL_ZERO_TOL else s), x2
 
 
 def eigenvalues(xb: np.ndarray) -> tuple[float, float]:
     """(lam1, lam2) = x1 -/+ ||x2|| of one block; for size 1, both equal x1."""
-    s = _tail_norm(xb) if xb.shape[0] > 1 else 0.0
-    return float(xb[0]) - s, float(xb[0]) + s
+    x1, s, _ = _split(xb, 0, slice(1, None))
+    return float(x1 - s), float(x1 + s)
 
 
 def spectral_decompose(xb: np.ndarray) -> SpectralDecomp:
@@ -88,18 +92,13 @@ def spectral_decompose(xb: np.ndarray) -> SpectralDecomp:
     coordinate axis, so the result is deterministic.
     """
     xb = as_vector(xb)
-    m = xb.shape[0]
-    if m < 2:
+    if xb.shape[0] < 2:
         raise ValueError("spectral decomposition needs block size >= 2")
-    s = _tail_norm(xb)
-    w = np.zeros(m - 1)
-    if s > 0.0:
-        w = xb[1:] / s
-    else:
-        w[0] = 1.0
+    x1, s, x2 = _split(xb, 0, slice(1, None))
+    w = x2 / s if s > 0.0 else np.eye(1, x2.size)[0]
     u1 = 0.5 * np.concatenate(([1.0], -w))
     u2 = 0.5 * np.concatenate(([1.0], w))
-    return SpectralDecomp(float(xb[0]) - s, float(xb[0]) + s, u1, u2)
+    return SpectralDecomp(float(x1 - s), float(x1 + s), u1, u2)
 
 
 def jordan_product(x, y, cone: ConeStructure) -> np.ndarray:
@@ -124,15 +123,11 @@ def abs_kernel(x: np.ndarray, cone: ConeStructure) -> np.ndarray:
     must be a float vector of dimension cone.dim; non-finite entries give
     non-finite output instead of an error.
 
-    The head is a Python float and the tail norm is sqrt(tail . tail), the
-    arithmetic of np.linalg.norm for a real vector, so the result is that
-    of the _tail_norm form bit for bit."""
+    The head is a Python float and the tail norm is _split's, inlined
+    because a call costs more than the arithmetic of a small block."""
     out = np.empty_like(x)
-    for _, i, tail in cone._parts:
+    for i, tail in cone._parts:
         x1 = float(x[i])
-        if tail is None:
-            out[i] = abs(x1)
-            continue
         xt = x[tail]
         s = math.sqrt(xt.dot(xt))
         if s < TAIL_ZERO_TOL:
@@ -148,22 +143,23 @@ def abs_kernel(x: np.ndarray, cone: ConeStructure) -> np.ndarray:
 
 def project_cone(x, cone: ConeStructure) -> np.ndarray:
     """Euclidean projection onto the cone, blockwise."""
-    x = as_vector(x, cone.dim)
+    return project_kernel(as_vector(x, cone.dim), cone)
+
+
+def project_kernel(x: np.ndarray, cone: ConeStructure) -> np.ndarray:
+    """project_cone without input validation: x must be a float vector of
+    dimension cone.dim; non-finite entries give non-finite output."""
     out = np.empty_like(x)
-    for sl in cone.slices():
-        xb = x[sl]
-        if xb.shape[0] == 1:
-            out[sl] = max(xb[0], 0.0)
-            continue
-        s = _tail_norm(xb)
-        if xb[0] >= s:  # x in K
-            out[sl] = xb
-        elif xb[0] <= -s:  # x in -K
-            out[sl] = 0.0
+    for i, tail in cone._parts:
+        x1, s, x2 = _split(x, i, tail)
+        if x1 >= s:  # x in K
+            out[i], out[tail] = x1, x2
+        elif x1 <= -s:  # x in -K
+            out[i], out[tail] = 0.0, 0.0
         else:
-            t = 0.5 * (xb[0] + s)
-            out[sl][0] = t
-            out[sl][1:] = (t / s) * xb[1:]
+            t = 0.5 * (x1 + s)
+            out[i] = t
+            out[tail] = (t / s) * x2
     return out
 
 

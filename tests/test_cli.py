@@ -33,6 +33,15 @@ def write_vector(tmp_path, name, values):
     return str(path)
 
 
+def overflowing_file(tmp_path):
+    """A problem with finite entries whose products A x overflow for x of
+    order 1."""
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": 2, "cone_blocks": [2], "b": [1, 1], "A": {
+        "kind": "dense", "entries": [[1e308, 1e308], [-1e308, 1e308]]}}))
+    return str(path)
+
+
 class TestSolve:
     def test_builtin_unique(self, tmp_path, capsys):
         out = tmp_path / "traj.csv"
@@ -180,6 +189,64 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "residual_norm=" in out
         assert "residual_form_agreement=" in out
+
+
+class TestSchema:
+    """Sizes in a problem JSON are integers: anything else is rejected where
+    it is read, with one error line, not truncated or raised as a traceback."""
+
+    @pytest.mark.parametrize("n, blocks", [
+        ("1e400", "[2]"),
+        ("2.7", "[2]"),
+        ('"2"', "[2]"),
+        ("2", "[2.5]"),
+        ("2", "[1e400]"),
+        ("2", "[1.5, 0.5]"),
+    ])
+    def test_non_integer_size_exits_1(self, tmp_path, capsys, n, blocks):
+        problem = tmp_path / "p.json"
+        problem.write_text(f'{{"n": {n}, "cone_blocks": {blocks}, "b": [1, 1], '
+                           '"A": {"kind": "tridiag", "sub": -1, "diag": 4, "sup": -1}}')
+        x = write_vector(tmp_path, "x.json", [0.0, 1.0])
+        assert main(["verify", "--problem", str(problem), "--x", x, "--tol", "1e-8"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "must be an integer" in err
+        assert err.count("\n") == 1
+
+    def test_integer_valued_float_is_accepted(self, tmp_path):
+        problem = tmp_path / "p.json"
+        problem.write_text('{"n": 2.0, "cone_blocks": [2.0], "b": [-1, -1], '
+                           '"A": {"kind": "dense", "entries": [[1, 0], [0, -1]]}}')
+        x = write_vector(tmp_path, "x.json", [0.0, 1.0])
+        assert main(["verify", "--problem", str(problem), "--x", x, "--tol", "1e-8"]) == 0
+
+
+class TestOverflow:
+    """A finite input whose residual overflows is a run that fails, reported
+    through the exit code, with nothing on stderr."""
+
+    @pytest.mark.parametrize("x0", ["zeros", "1,1"])
+    def test_solve_exits_2_silently(self, tmp_path, capsys, x0):
+        report = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["solve", "--problem", overflowing_file(tmp_path), "--gamma", "1",
+                         "--tspan", "0,1", "--x0", x0, "--out", str(tmp_path / "t.csv"),
+                         "--report", str(report)])
+        assert code == 2
+        assert json.loads(report.read_text())["termination"] == "StepUnderflow"
+        assert capsys.readouterr().err == ""
+
+    def test_verify_exits_3_silently(self, tmp_path, capsys):
+        x = write_vector(tmp_path, "x.json", [1.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["verify", "--problem", overflowing_file(tmp_path), "--x", x,
+                         "--tol", "1e-8"])
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert "residual_norm=inf" in out and "solution: no" in out
+        assert err == ""
 
 
 class TestSuite:

@@ -7,6 +7,7 @@ import pytest
 import socave.dynamics
 from socave.dynamics import DynamicsConfig, lyapunov_value, rhs
 from socave.integrator import (
+    H_MIN,
     IntegratorOptions,
     Termination,
     integrate,
@@ -226,10 +227,7 @@ def _seed_integrate_ode(f, x0, tspan, opts, residual_fn=None):
     Returns (times, states, residual_norms, termination, accepted, rejected)."""
     t0, tf = tspan
     x = np.array(x0, dtype=float)
-    h = opts.h_init if opts.h_init is not None else 0.01 * (tf - t0)
-    if opts.h_max is not None:
-        h = min(h, opts.h_max)
-    h = max(h, opts.h_min)
+    h = max(0.01 * (tf - t0), H_MIN)
 
     def res_norm(state, field_val):
         if residual_fn is not None:
@@ -266,9 +264,7 @@ def _seed_integrate_ode(f, x0, tspan, opts, residual_fn=None):
         else:
             n_rej += 1
         h = h_trial * min(5.0, max(0.2, 0.9 * err ** (-1.0 / 3.0))) if err else h_trial * 5.0
-        if opts.h_max is not None:
-            h = min(h, opts.h_max)
-        if term is None and h < opts.h_min:
+        if term is None and h < H_MIN:
             term = Termination.STEP_UNDERFLOW
     if times[-1] < t:
         times.append(t)

@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from socave.linalg import (
-    DenseOperator,
-    TridiagToeplitz,
-    build_tridiag,
-    min_singular_value,
-    spectral_norm,
-)
+from socave.linalg import DenseOperator, TridiagToeplitz
 from socave.model import AveProblem, problem_from_dict, problem_to_dict
 from socave.problems import example_tridiag
 
@@ -21,55 +15,59 @@ COEFFS = ((-1.0, 4.0, -1.0), (0.5, -3.0, 0.5), (1.5, 1.0, 1.5), (-0.7, 4.0, -1.3
 SYMMETRIC = COEFFS[:3]
 
 
+def dense(n, sub, diag, sup):
+    return TridiagToeplitz(n, sub, diag, sup).to_dense()
+
+
 class TestBuildTridiag:
     def test_three_by_three(self):
         expected = [[4, -1, 0], [-1, 4, -1], [0, -1, 4]]
-        assert build_tridiag(3, -1, 4, -1).tolist() == expected
+        assert dense(3, -1, 4, -1).tolist() == expected
 
     def test_size_one_has_no_off_diagonals(self):
-        assert build_tridiag(1, -1, 4, -1).tolist() == [[4]]
+        assert dense(1, -1, 4, -1).tolist() == [[4]]
 
     def test_identity_case(self):
-        assert build_tridiag(2, 0, 1, 0).tolist() == [[1, 0], [0, 1]]
+        assert dense(2, 0, 1, 0).tolist() == [[1, 0], [0, 1]]
 
     def test_rejects_zero_size(self):
         with pytest.raises(ValueError):
-            build_tridiag(0, 1, 1, 1)
+            dense(0, 1, 1, 1)
 
 
 class TestSpectralNorm:
     def test_identity(self):
-        assert spectral_norm(np.eye(3)) == pytest.approx(1.0, rel=1e-12)
+        assert DenseOperator(np.eye(3)).norm() == pytest.approx(1.0, rel=1e-12)
 
     def test_tridiag_known_eigenvalues(self):
         # eigenvalues of tridiag(-1,4,-1), n=3 are 4 - 2cos(k*pi/4)
-        A = build_tridiag(3, -1, 4, -1)
-        assert spectral_norm(A) == pytest.approx(4 + math.sqrt(2), rel=1e-10)
+        A = DenseOperator(dense(3, -1, 4, -1))
+        assert A.norm() == pytest.approx(4 + math.sqrt(2), rel=1e-10)
 
     def test_sign_diagonal(self):
-        assert spectral_norm(np.diag([1.0, -1.0])) == pytest.approx(1.0, rel=1e-12)
+        assert DenseOperator(np.diag([1.0, -1.0])).norm() == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_matrix(self):
-        assert spectral_norm(np.zeros((4, 4))) == 0.0
+        assert DenseOperator(np.zeros((4, 4))).norm() == 0.0
 
 
 class TestMinSingularValue:
     def test_tridiag_known_eigenvalues(self):
-        A = build_tridiag(3, -1, 4, -1)
-        assert min_singular_value(A) == pytest.approx(4 - math.sqrt(2), rel=1e-10)
+        A = DenseOperator(dense(3, -1, 4, -1))
+        assert A.sigma_min() == pytest.approx(4 - math.sqrt(2), rel=1e-10)
 
     def test_sign_diagonal(self):
-        assert min_singular_value(np.diag([1.0, -1.0])) == pytest.approx(1.0, rel=1e-12)
+        assert DenseOperator(np.diag([1.0, -1.0])).sigma_min() == pytest.approx(1.0, rel=1e-12)
 
     def test_singular_matrix(self):
-        assert min_singular_value(np.zeros((2, 2))) == 0.0
+        assert DenseOperator(np.zeros((2, 2))).sigma_min() == 0.0
 
 
 class TestExtremalProperties:
     def test_norm_dominates_random_products(self):
         rng = np.random.default_rng(7)
         A = rng.standard_normal((12, 12))
-        bound = spectral_norm(A)
+        bound = DenseOperator(A).norm()
         for _ in range(1000):
             x = rng.standard_normal(12)
             assert bound * np.linalg.norm(x) >= np.linalg.norm(A @ x) * (1 - 1e-8)
@@ -77,8 +75,8 @@ class TestExtremalProperties:
     def test_min_le_max(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
-            A = rng.standard_normal((6, 6))
-            assert min_singular_value(A) <= spectral_norm(A)
+            A = DenseOperator(rng.standard_normal((6, 6)))
+            assert A.sigma_min() <= A.norm()
 
     def test_orthogonal_diagonal_construction(self):
         rng = np.random.default_rng(9)
@@ -86,9 +84,9 @@ class TestExtremalProperties:
             n = int(rng.integers(2, 10))
             q, _ = np.linalg.qr(rng.standard_normal((n, n)))
             d = rng.uniform(0.1, 5.0, n)
-            A = (q * d) @ q.T
-            assert spectral_norm(A) == pytest.approx(d.max(), rel=1e-8)
-            assert min_singular_value(A) == pytest.approx(d.min(), rel=1e-8)
+            A = DenseOperator((q * d) @ q.T)
+            assert A.norm() == pytest.approx(d.max(), rel=1e-8)
+            assert A.sigma_min() == pytest.approx(d.min(), rel=1e-8)
 
 
 class TestDenseOperator:
@@ -100,8 +98,9 @@ class TestDenseOperator:
         assert np.array_equal(op.matvec(x), A @ x)
         assert np.array_equal(op.rmatvec(x), A.T @ x)
         assert op.size == 49
-        assert op.sigma_min() == min_singular_value(A)
-        assert op.norm() == spectral_norm(A)
+        sv = np.linalg.svd(A, compute_uv=False)
+        assert op.sigma_min() == sv[-1]
+        assert op.norm() == sv[0]
 
     def test_problem_wraps_arrays(self):
         p = AveProblem(np.eye(2), np.zeros(2), example_tridiag(2)[0].cone)
@@ -115,7 +114,10 @@ class TestTridiagToeplitz:
     def test_products_match_dense(self, n, coeffs):
         op = TridiagToeplitz(n, *coeffs)
         A = op.to_dense()
-        assert np.array_equal(A, build_tridiag(n, *coeffs))
+        sub, diag, sup = coeffs
+        expected = (np.diag(np.full(n, diag)) + np.diag(np.full(n - 1, sub), -1)
+                    + np.diag(np.full(n - 1, sup), 1))
+        assert np.array_equal(A, expected)
         rng = np.random.default_rng(n)
         for _ in range(5):
             x = rng.standard_normal(n)

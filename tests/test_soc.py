@@ -12,6 +12,7 @@ from socave.soc import (
     abs_kernel,
     Membership,
     complementarity_residual,
+    project_kernel,
     cone_membership,
     eigenvalues,
     in_cone,
@@ -309,3 +310,128 @@ class TestAbsKernelBitwise:
         with np.errstate(all="ignore"):
             assert _bits(np.array(math.sqrt(tail.dot(tail)))) == \
                 _bits(np.array(float(np.linalg.norm(tail))))
+
+
+# The parent forms of the functions that now share one block split, kept
+# here as references the split must match bit for bit: np.linalg.norm tails,
+# numpy-scalar heads and the size-1 branches they had.
+def _reference_eigenvalues(xb):
+    s = float(np.linalg.norm(xb[1:])) if xb.shape[0] > 1 else 0.0
+    s = 0.0 if s < TAIL_ZERO_TOL else s
+    return float(xb[0]) - s, float(xb[0]) + s
+
+
+def _reference_project_cone(x, cone):
+    out = np.empty_like(x)
+    for sl in cone.slices():
+        xb = x[sl]
+        if xb.shape[0] == 1:
+            out[sl] = max(xb[0], 0.0)
+            continue
+        s = float(np.linalg.norm(xb[1:]))
+        s = 0.0 if s < TAIL_ZERO_TOL else s
+        if xb[0] >= s:
+            out[sl] = xb
+        elif xb[0] <= -s:
+            out[sl] = 0.0
+        else:
+            t = 0.5 * (xb[0] + s)
+            out[sl][0] = t
+            out[sl][1:] = (t / s) * xb[1:]
+    return out
+
+
+def _reference_cone_membership(x, cone, tol):
+    out = []
+    for sl in cone.slices():
+        lam1, lam2 = _reference_eigenvalues(x[sl])
+        if lam1 > tol:
+            out.append(Membership.INTERIOR)
+        elif lam1 >= -tol and lam2 >= -tol:
+            out.append(Membership.BOUNDARY)
+        elif lam2 < -tol:
+            out.append(Membership.INSIDE_NEGATIVE_CONE)
+        elif lam2 <= tol:
+            out.append(Membership.OUTSIDE_CONE)
+        else:
+            out.append(Membership.NEITHER)
+    return out
+
+
+finite_entries = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                           st.sampled_from([v for v in SPECIAL if math.isfinite(v)]))
+
+
+@st.composite
+def finite_cone_and_vector(draw):
+    cone = ConeStructure(draw(st.lists(st.integers(1, 5), min_size=1, max_size=6)))
+    x = draw(st.lists(finite_entries, min_size=cone.dim, max_size=cone.dim))
+    return cone, np.array(x, dtype=float)
+
+
+# size-1 blocks with signed zeros; zero tails; tails with norm just below, at
+# and above TAIL_ZERO_TOL; a head on the boundary of K and of -K
+FINITE_CASES = [
+    _case((1, 1, 1, 1), [-0.0, 0.0, -3.0, 2.0]),
+    _case((3, 2, 2), [-2.0, 0.0, -0.0, 5.0, -0.0, -0.0, 0.0]),
+    _case((2, 2, 2, 3), [1.0, BELOW_TOL, -1.0, TAIL_ZERO_TOL, 0.5, -ABOVE_TOL,
+                         0.0, 0.6 * TAIL_ZERO_TOL, 0.8 * TAIL_ZERO_TOL]),
+    _case((2, 2, 2, 2), [BELOW_TOL, BELOW_TOL, -ABOVE_TOL, ABOVE_TOL,
+                         TAIL_ZERO_TOL, -0.0, -0.0, TAIL_ZERO_TOL]),
+    _case((3, 2), [5.0, 3.0, 4.0, -5.0, 5.0]),
+    _case((3,), [1e308, 1e308, -1e308]),  # the tail norm overflows
+]
+
+
+def _with_examples(cases):
+    def decorate(test):
+        for case in cases:
+            test = example(case)(test)
+        return test
+    return decorate
+
+
+class TestSplitBitwise:
+    """eigenvalues, project_cone and cone_membership keep every IEEE
+    operation and every branch outcome of their reference forms."""
+
+    @settings(max_examples=300)
+    @given(cone_and_vector())
+    @_with_examples(FINITE_CASES + [
+        _case((1, 1, 1), [-0.0, -3.0, math.nan]),
+        _case((3, 3, 2), [math.inf, 1.0, 2.0, 1.0, -math.inf, 0.0, math.nan, 1.0]),
+        _case((2, 3), [-math.inf, math.inf, 1.0, math.nan, 0.0]),
+    ])
+    def test_eigenvalues(self, case):
+        cone, x = case
+        with np.errstate(all="ignore"):
+            for sl in cone.slices():
+                assert _bits(np.array(eigenvalues(x[sl]))) == \
+                    _bits(np.array(_reference_eigenvalues(x[sl])))
+
+    @settings(max_examples=300)
+    @given(finite_cone_and_vector())
+    @_with_examples(FINITE_CASES)
+    def test_project_cone(self, case):
+        cone, x = case
+        with np.errstate(all="ignore"):
+            assert _bits(project_cone(x, cone)) == _bits(_reference_project_cone(x, cone))
+
+    @settings(max_examples=300)
+    @given(cone_and_vector())
+    @_with_examples(FINITE_CASES + [_case((1, 2, 3), [math.nan, 1.0, math.inf,
+                                                      -math.inf, 2.0, math.nan])])
+    def test_project_kernel_on_any_input(self, case):
+        cone, x = case
+        with np.errstate(all="ignore"):
+            assert _bits(project_kernel(x, cone)) == _bits(_reference_project_cone(x, cone))
+
+    @settings(max_examples=300)
+    @given(finite_cone_and_vector())
+    @_with_examples(FINITE_CASES)
+    def test_cone_membership(self, case):
+        cone, x = case
+        with np.errstate(all="ignore"):
+            for tol in (0.0, TAIL_ZERO_TOL, 1e-10, 1.0):
+                assert cone_membership(x, cone, tol) == \
+                    _reference_cone_membership(x, cone, tol)

@@ -22,8 +22,8 @@ import time
 import numpy as np
 
 from .dynamics import DynamicsConfig
-from .integrator import IntegratorOptions, integrate, time_to_tolerance
-from .linalg import as_vector
+from .integrator import IntegratorOptions, Termination, integrate, time_to_tolerance
+from .linalg import as_positive, as_tspan, as_vector
 from .model import (
     load_problem,
     residual,
@@ -31,82 +31,73 @@ from .model import (
     solvability_certificate,
 )
 from .problems import example_toy, example_tridiag, initial_grid
-from .reporting import SolveReport, termination_ok, write_trajectory_csv
+from .reporting import write_trajectory_csv
 
 
 class InputError(Exception):
     pass
 
 
-def _load_cli_problem(args):
-    """(problem, known x_star or None) from --problem or --builtin."""
-    if getattr(args, "problem", None):
-        try:
-            return load_problem(args.problem)
-        except (OSError, ValueError) as e:
-            raise InputError(str(e)) from e
-    name = args.builtin
-    if name == "tridiag":
-        if args.n is None:
-            raise InputError("--builtin tridiag requires --n")
-        try:
-            return example_tridiag(args.n)
-        except ValueError as e:
-            raise InputError(str(e)) from e
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are InputErrors: exit 1 with one
+    error line, not argparse's usage text and exit 2."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
+def float_list(text: str) -> list[float]:
+    """The comma list of numbers that --tspan and --time-to-tol take. argparse
+    names this function when it cannot read a value ("invalid float_list
+    value"), so its name has no leading underscore."""
+    return [float(v) for v in text.split(",")] if text else []
+
+
+@contextlib.contextmanager
+def _input_errors():
+    """A command's one boundary for its input: a ValueError, TypeError or
+    OSError raised while reading it becomes an InputError."""
     try:
-        return example_toy(name), None
-    except ValueError as e:
+        yield
+    except (ValueError, TypeError, OSError) as e:
         raise InputError(str(e)) from e
 
 
-def _load_vector_file(path) -> np.ndarray:
+def _load_cli_problem(args):
+    """(problem, known x_star or None) from --problem or --builtin."""
+    if args.problem:
+        return load_problem(args.problem)
+    if args.builtin == "tridiag":
+        if args.n is None:
+            raise InputError("--builtin tridiag requires --n")
+        return example_tridiag(args.n)
+    return example_toy(args.builtin), None
+
+
+def _load_vector_file(path, n: int) -> np.ndarray:
+    """The vector of dimension n held in the JSON file at path."""
     try:
         with open(path) as fh:
             data = json.load(fh)
-        return as_vector(np.asarray(data, dtype=float).reshape(-1))
+        return as_vector(np.asarray(data, dtype=float).reshape(-1), n)
     except (OSError, ValueError, TypeError) as e:
-        raise InputError(f"cannot read vector from {path}: {e}") from e
+        raise ValueError(f"cannot read vector from {path}: {e}") from e
 
 
 def _resolve_starts(spec: str, n: int, x_star) -> np.ndarray:
     """x0 sources: 'zeros', 'grid:<k>', a file path, or a comma list."""
     if spec == "zeros":
         return np.zeros((1, n))
-    if spec.startswith("grid:"):
-        center = x_star if x_star is not None else np.zeros(n)
-        try:
+    is_grid = spec.startswith("grid:")
+    if not is_grid and os.path.exists(spec):
+        return _load_vector_file(spec, n).reshape(1, -1)
+    try:
+        if is_grid:
+            center = x_star if x_star is not None else np.zeros(n)
             return initial_grid(center, int(spec.split(":", 1)[1]))
-        except ValueError as e:
-            raise InputError(f"bad grid spec {spec!r}: {e}") from e
-    if os.path.exists(spec):
-        return _load_vector_file(spec).reshape(1, -1)
-    try:
-        return as_vector([float(v) for v in spec.split(",")]).reshape(1, -1)
+        return as_vector([float(v) for v in spec.split(",")], n).reshape(1, -1)
     except ValueError as e:
-        raise InputError(f"cannot parse x0 {spec!r}: {e}") from e
-
-
-def _parse_tspan(text: str) -> tuple[float, float]:
-    try:
-        t0, tf = (float(v) for v in text.split(","))
-    except ValueError as e:
-        raise InputError(f"bad tspan {text!r}, expected T0,TF") from e
-    if not (math.isfinite(t0) and math.isfinite(tf)):
-        raise InputError(f"tspan endpoints must be finite, got {text!r}")
-    if not t0 < tf:
-        raise InputError("tspan must satisfy t0 < tf")
-    return t0, tf
-
-
-def _parse_tolerances(text: str) -> list[float]:
-    """The --time-to-tol list: positive residual tolerances."""
-    try:
-        tols = [float(v) for v in text.split(",")] if text else []
-    except ValueError as e:
-        raise InputError(f"bad tolerance list {text!r}") from e
-    if not all(tol > 0 for tol in tols):
-        raise InputError("time-to-tol tolerances must be > 0")
-    return tols
+        raise ValueError(f"bad --x0 {spec!r}: {e}") from e
 
 
 @contextlib.contextmanager
@@ -116,6 +107,12 @@ def _writing(path):
         yield
     except OSError as e:
         raise InputError(f"cannot write {path}: {e.strerror or e}") from e
+
+
+def _finite_or_none(v: float) -> float | None:
+    """v, or None (JSON null) when it is not finite: RFC 8259 JSON has no
+    inf or nan."""
+    return v if math.isfinite(v) else None
 
 
 def _indexed_path(path: str, idx: int, total: int) -> str:
@@ -128,74 +125,74 @@ def _indexed_path(path: str, idx: int, total: int) -> str:
 # a residual of finite inputs can overflow: it is reported, not warned about
 @np.errstate(over="ignore", invalid="ignore")
 def cmd_solve(args) -> int:
-    p, x_star = _load_cli_problem(args)
-    tspan = _parse_tspan(args.tspan)
-    starts = _resolve_starts(args.x0, p.n, x_star)
-    if starts.shape[1] != p.n:
-        raise InputError(f"x0 dimension {starts.shape[1]} != problem dimension {p.n}")
-    try:
+    with _input_errors():
+        p, x_star = _load_cli_problem(args)
+        tspan = as_tspan(args.tspan)
+        starts = _resolve_starts(args.x0, p.n, x_star)
         cfg = DynamicsConfig(args.gamma)
         opts = IntegratorOptions(rtol=args.rtol, atol=args.atol,
                                  stop_on_residual=args.stop_residual,
                                  record_stride=args.record_stride)
-    except ValueError as e:
-        raise InputError(str(e)) from e
-    report_tols = _parse_tolerances(args.time_to_tol)
+        report_tols = [as_positive(tol, "--time-to-tol") for tol in args.time_to_tol]
     cert = solvability_certificate(p)
+    name = p.name or (args.problem or args.builtin)
 
     reports = []
+    lines = []
     ok = True
     for i, x0 in enumerate(starts):
         t_start = time.perf_counter()
         traj = integrate(p, cfg, x0, tspan, opts)
         wall = time.perf_counter() - t_start
         xf = traj.final_state
-        reports.append(SolveReport(
-            problem=p.name or (args.problem or args.builtin),
-            certificate={"sigma_min": cert.sigma_min, "verdict": cert.verdict.value},
-            gamma=args.gamma,
-            tspan=tspan,
-            termination=traj.termination.value,
-            final_state=xf.tolist(),
-            # recomputed from the final state, not copied from the trajectory
-            final_residual_norm=float(np.linalg.norm(residual(p, xf))),
-            time_to_tolerance={format(tol, "g"): time_to_tolerance(traj, tol)
-                               for tol in report_tols},
-            wall_time_s=wall,
-            n_accepted=traj.n_accepted,
-            n_rejected=traj.n_rejected,
-            n_rejected_nonfinite=traj.n_rejected_nonfinite,
-            n_rhs_evals=traj.n_rhs_evals,
-        ).to_dict())
+        # recomputed from the final state, not copied from the trajectory
+        rnorm = float(np.linalg.norm(residual(p, xf)))
+        reports.append({
+            "problem": name,
+            "certificate": {"sigma_min": _finite_or_none(cert.sigma_min),
+                            "verdict": cert.verdict.value},
+            "gamma": args.gamma,
+            "tspan": list(tspan),
+            "termination": traj.termination.value,
+            "final_state": xf.tolist(),
+            "final_residual_norm": _finite_or_none(rnorm),
+            "time_to_tolerance": {format(tol, "g"): time_to_tolerance(traj, tol)
+                                  for tol in report_tols},
+            "wall_time_s": wall,
+            "n_accepted": traj.n_accepted,
+            "n_rejected": traj.n_rejected,
+            "n_rejected_nonfinite": traj.n_rejected_nonfinite,
+            "n_rhs_evals": traj.n_rhs_evals,
+        })
+        lines.append(f"{name}: termination={traj.termination.value} "
+                     f"final_residual={rnorm:.3e}")
         out = _indexed_path(args.out, i, len(starts))
         with _writing(out):
             write_trajectory_csv(out, traj)
-        ok = ok and termination_ok(traj.termination)
+        ok = ok and traj.termination in (Termination.REACHED_TF, Termination.RESIDUAL_EVENT)
 
     with _writing(args.report), open(args.report, "w") as fh:
-        json.dump(reports[0] if len(reports) == 1 else reports, fh, indent=2)
+        json.dump(reports[0] if len(reports) == 1 else reports, fh, indent=2,
+                  allow_nan=False)
         fh.write("\n")
-    for rep in reports:
-        print(f"{rep['problem']}: termination={rep['termination']} "
-              f"final_residual={rep['final_residual_norm']:.3e}")
+    for line in lines:
+        print(line)
     return 0 if ok else 2
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def cmd_verify(args) -> int:
-    p, _ = _load_cli_problem(args)
-    x = _load_vector_file(args.x)
-    if x.shape[0] != p.n:
-        raise InputError(f"candidate dimension {x.shape[0]} != problem dimension {p.n}")
-    if args.tol <= 0:
-        raise InputError("tol must be > 0")
+    with _input_errors():
+        p, _ = _load_cli_problem(args)
+        x = _load_vector_file(args.x, p.n)
+        tol = as_positive(args.tol, "tol")
     r_direct = residual(p, x)
     r_proj = residual_projection_form(p, x)
     rnorm = float(np.linalg.norm(r_direct))
     agreement = float(np.max(np.abs(r_direct - r_proj)))
     print(f"residual_norm={rnorm:.17g}")
     print(f"residual_form_agreement={agreement:.3e}")
-    if rnorm <= args.tol:
+    if rnorm <= tol:
         print("solution: yes")
         return 0
     print("solution: no")
@@ -203,8 +200,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    if args.name != "paper-examples":
-        raise InputError(f"unknown suite {args.name!r}")
     from .experiments import run_paper_suite
 
     with _writing(args.out_dir):
@@ -231,7 +226,7 @@ def _add_problem_source(sp):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="socave",
         description="Dynamical-system solver for absolute value equations "
                     "over second-order cones",
@@ -241,14 +236,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("solve", help="integrate the dynamical system")
     _add_problem_source(sp)
     sp.add_argument("--gamma", type=float, required=True)
-    sp.add_argument("--tspan", required=True, help="T0,TF")
+    sp.add_argument("--tspan", type=float_list, required=True, help="T0,TF")
     sp.add_argument("--x0", default="zeros",
                     help="'zeros', 'grid:<k>', comma list, or JSON file")
     sp.add_argument("--rtol", type=float, default=1e-6)
     sp.add_argument("--atol", type=float, default=1e-9)
     sp.add_argument("--stop-residual", type=float, default=None)
     sp.add_argument("--record-stride", type=int, default=1)
-    sp.add_argument("--time-to-tol", default="",
+    sp.add_argument("--time-to-tol", type=float_list, default="",
                     help="comma list of residual tolerances to time")
     sp.add_argument("--out", required=True, help="trajectory CSV path")
     sp.add_argument("--report", required=True, help="report JSON path")
@@ -261,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("suite", help="run the reference experiment suite")
-    sp.add_argument("--name", required=True)
+    sp.add_argument("--name", choices=["paper-examples"], required=True)
     sp.add_argument("--out-dir", required=True)
     sp.set_defaults(func=cmd_suite)
 
@@ -269,11 +264,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
+        # one line whatever the message holds, e.g. an argument with a newline
+        print("error:", " ".join(str(e).splitlines()), file=sys.stderr)
         return 1
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_vector
+from .linalg import as_positive, as_vector
 from .model import AveProblem, is_solution, residual, residual_kernel
 
 # exp() overflows shortly past 709 in double precision
@@ -25,8 +25,7 @@ class DynamicsConfig:
     gamma: float
 
     def __post_init__(self):
-        if not (self.gamma > 0):
-            raise ValueError("gamma must be > 0")
+        as_positive(self.gamma, "gamma")
 
 
 def rhs(p: AveProblem, cfg: DynamicsConfig, x: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DynamicsConfig, rhs_and_residual
-from .linalg import as_vector
+from .linalg import as_positive, as_tspan, as_vector
 from .model import AveProblem
 
 
@@ -40,8 +40,10 @@ class IntegratorOptions:
     record_stride: int = 1
 
     def __post_init__(self):
-        if self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("rtol and atol must be > 0")
+        as_positive(self.rtol, "rtol")
+        as_positive(self.atol, "atol")
+        if self.stop_on_residual is not None:
+            as_positive(self.stop_on_residual, "stop_on_residual")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
         if self.max_steps < 1:
@@ -135,9 +137,7 @@ def _integrate(field, x0, tspan, opts: IntegratorOptions) -> Trajectory:
     The recorded norm is ||aux|| of the evaluation at the recorded state.
     The field runs 1 + 3 * (accepted + rejected) times.
     """
-    t0, tf = float(tspan[0]), float(tspan[1])
-    if not t0 < tf:
-        raise ValueError("tspan must satisfy t0 < tf")
+    t0, tf = as_tspan(tspan)
     x = np.array(x0, dtype=float)
 
     h = max(0.01 * (tf - t0), H_MIN)
@@ -217,8 +217,7 @@ def integrate(p: AveProblem, cfg: DynamicsConfig, x0, tspan,
 
 def time_to_tolerance(traj: Trajectory, tol: float) -> float | None:
     """First recorded time with residual norm <= tol, or None."""
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
+    as_positive(tol, "tol")
     hits = np.nonzero(traj.residual_norms <= tol)[0]
     if hits.size == 0:
         return None

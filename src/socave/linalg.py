@@ -46,6 +46,21 @@ def as_integer(v, what: str) -> int:
     return int(v)
 
 
+def as_positive(v, what: str) -> float:
+    """Validate and return a finite real number > 0, as a float."""
+    if not (isinstance(v, numbers.Real) and math.isfinite(v) and v > 0):
+        raise ValueError(f"{what} must be finite and > 0, got {v!r}")
+    return float(v)
+
+
+def as_tspan(tspan) -> tuple[float, float]:
+    """Validate and return a time span (t0, tf): two finite times, t0 < tf."""
+    t = [float(v) for v in tspan]
+    if not (len(t) == 2 and math.isfinite(t[0]) and math.isfinite(t[1]) and t[0] < t[1]):
+        raise ValueError(f"tspan must be two finite times t0 < tf, got {tspan!r}")
+    return t[0], t[1]
+
+
 class DenseOperator:
     """A stored matrix; matvec and rmatvec are A @ x and A.T @ x."""
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DenseOperator, TridiagToeplitz, as_integer, as_vector
+from .linalg import DenseOperator, TridiagToeplitz, as_integer, as_positive, as_vector
 from .soc import ConeStructure, abs_kernel, project_kernel
 
 CERT_EPS = 1e-10
@@ -77,7 +77,9 @@ def qf_maps(p: AveProblem, x) -> tuple[np.ndarray, np.ndarray]:
     """(Q(x), F(x)) = (Ax + x - b, Ax - x - b)."""
     x = as_vector(x, p.n)
     q = p.A.matvec(x) - p.b + x
-    return q, q - 2.0 * x  # F built from Q so Q - F = 2x holds exactly
+    # F is built from Q, so Q - F is 2x up to rounding (with A = 0,
+    # b = (-1, -1) and x = (1e-17, 0) it is 0), which criterion 5's 1e-10 absorbs
+    return q, q - 2.0 * x
 
 
 def residual_projection_form(p: AveProblem, x) -> np.ndarray:
@@ -88,8 +90,7 @@ def residual_projection_form(p: AveProblem, x) -> np.ndarray:
 
 
 def is_solution(p: AveProblem, x, tol: float) -> bool:
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
+    as_positive(tol, "tol")
     return float(np.linalg.norm(residual(p, x))) <= tol
 
 

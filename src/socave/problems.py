@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .linalg import TridiagToeplitz
+from .linalg import TridiagToeplitz, as_positive
 from .model import AveProblem
 from .rng import SplitMix64
 from .soc import ConeStructure, soc_abs
@@ -60,8 +60,7 @@ def random_unique(n: int, blocks: ConeStructure, margin: float,
     values uniform in [1 + margin, 3 + margin]; x* is standard gaussian and
     b = A x* - |x*|.
     """
-    if margin <= 0:
-        raise ValueError("margin must be > 0")
+    as_positive(margin, "margin")
     if blocks.dim != n:
         raise ValueError("blocks must partition R^n")
     rng = SplitMix64(seed)

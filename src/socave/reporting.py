@@ -1,4 +1,4 @@
-"""Trajectory CSV serialization and solve reports.
+"""Trajectory CSV files: writing and reading them back.
 
 CSV schema: header ``t,x_1,...,x_n,residual_norm``, then one row per
 recorded state: the values printed with ``%.17g`` (17 significant digits,
@@ -8,11 +8,10 @@ so doubles round-trip losslessly) joined by commas. Lines end in CRLF.
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .integrator import Termination, Trajectory
+from .integrator import Trajectory
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> None:
@@ -38,28 +37,3 @@ def read_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             res.append(float(row[-1]))
     return np.asarray(times), np.asarray(states), np.asarray(res)
 
-
-@dataclass
-class SolveReport:
-    problem: str
-    certificate: dict
-    gamma: float
-    tspan: tuple[float, float]
-    termination: str
-    final_state: list[float]
-    final_residual_norm: float
-    time_to_tolerance: dict[str, float | None]
-    wall_time_s: float
-    n_accepted: int
-    n_rejected: int
-    n_rejected_nonfinite: int
-    n_rhs_evals: int
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["tspan"] = list(self.tspan)
-        return d
-
-
-def termination_ok(term: Termination) -> bool:
-    return term in (Termination.REACHED_TF, Termination.RESIDUAL_EVENT)

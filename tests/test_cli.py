@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import sys
@@ -6,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from socave.cli import main
 from socave.experiments import _fork_alongside
@@ -31,6 +35,19 @@ def write_vector(tmp_path, name, values):
     path = tmp_path / name
     path.write_text(json.dumps(values))
     return str(path)
+
+
+def strict_json(path):
+    """The JSON in path, parsed as RFC 8259 has it: Infinity and NaN are errors."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+# a solve of the unique toy that runs; a flag added after it replaces its value
+SOLVE = ["solve", "--builtin", "unique", "--gamma", "2", "--tspan", "0,1",
+         "--out", "t.csv", "--report", "r.json"]
 
 
 def overflowing_file(tmp_path):
@@ -157,6 +174,38 @@ class TestSolve:
         assert rep["certificate"]["sigma_min"] == pytest.approx(2.0, rel=1e-9)
         assert rep["n_accepted"] > 0
 
+    @pytest.mark.parametrize("argv, named", [
+        (SOLVE + ["--gamma", "abc"], "--gamma"),
+        ([a for a in SOLVE if a not in ("--tspan", "0,1")], "--tspan"),
+        ([], "command"),
+        (["bogus"], "bogus"),
+        (SOLVE + ["--n", "1.5"], "--n"),
+        (SOLVE + ["--gamma", "nan"], "gamma"),
+        (SOLVE + ["--gamma", "inf"], "gamma"),
+        (SOLVE + ["--rtol", "nan"], "rtol"),
+        (SOLVE + ["--atol", "nan"], "atol"),
+        (SOLVE + ["--stop-residual", "nan"], "stop_on_residual"),
+        (SOLVE + ["--stop-residual", "-1"], "stop_on_residual"),
+        (SOLVE + ["--time-to-tol", "1,nan"], "--time-to-tol"),
+        (["verify", "--builtin", "unique", "--x", "x.json", "--tol", "nan"], "tol"),
+        (SOLVE + ["--tspan", "0"], "tspan"),
+        (SOLVE + ["--x0", "grid:abc"], "--x0"),
+    ])
+    def test_malformed_input_is_one_error_line_naming_it(self, tmp_path, monkeypatch,
+                                                         capsys, argv, named):
+        monkeypatch.chdir(tmp_path)
+        write_vector(tmp_path, "x.json", [0.0, 1.0])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert named in err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "-h"])
+        assert exc.value.code == 0
+        assert "--gamma" in capsys.readouterr().out
+
     def test_tridiag_requires_n(self, tmp_path):
         code = main(["solve", "--builtin", "tridiag", "--gamma", "2",
                      "--tspan", "0,1", "--out", str(tmp_path / "t.csv"),
@@ -236,6 +285,25 @@ class TestOverflow:
         assert code == 2
         assert json.loads(report.read_text())["termination"] == "StepUnderflow"
         assert capsys.readouterr().err == ""
+
+    def test_report_writes_an_overflowed_residual_as_null(self, tmp_path, capsys):
+        report = tmp_path / "r.json"
+        code = main(["solve", "--problem", overflowing_file(tmp_path), "--gamma", "1",
+                     "--tspan", "0,1", "--x0", "1,1", "--out", str(tmp_path / "t.csv"),
+                     "--report", str(report)])
+        assert code == 2
+        assert strict_json(report)["final_residual_norm"] is None
+        assert "final_residual=inf" in capsys.readouterr().out
+
+    def test_report_writes_an_overflowed_certificate_as_null(self, tmp_path):
+        # with sub = sup the closed form 2 * sub * cos(...) overflows
+        problem = tmp_path / "p.json"
+        problem.write_text('{"n": 2, "cone_blocks": [2], "b": [1, 1], "A": {"kind": '
+                           '"tridiag", "sub": 1e308, "diag": 0, "sup": 1e308}}')
+        report = tmp_path / "r.json"
+        main(["solve", "--problem", str(problem), "--gamma", "1", "--tspan", "0,1",
+              "--out", str(tmp_path / "t.csv"), "--report", str(report)])
+        assert strict_json(report)["certificate"]["sigma_min"] is None
 
     def test_verify_exits_3_silently(self, tmp_path, capsys):
         x = write_vector(tmp_path, "x.json", [1.0, 1.0])
@@ -331,6 +399,100 @@ class TestSuite:
         with pytest.raises(ValueError, match="n = 1000 failed"):
             experiments.run_paper_suite(str(tmp_path))
         assert_no_child_left()
+
+
+# for each flag: the values used when it is not at fault (None leaves it
+# out), then those used when it is. "source" stands for --builtin, --problem
+# and --n, whose values are argv fragments. Every solve is of a 2-d toy (or
+# tridiag at n = 4) with gamma <= 10 over a span of at most 1, so each runs
+# in milliseconds
+FUZZ_VALUES = {
+    "source": ([["--builtin", "unique"], ["--builtin", "multi"], ["--builtin", "none"],
+                ["--builtin", "tridiag", "--n", "4"], ["--problem", "p.json"]],
+               [[], ["--builtin", "tridiag"], ["--builtin", "tridiag", "--n", "3"],
+                ["--builtin", "tridiag", "--n", "1.5"], ["--builtin", "bogus"],
+                ["--builtin", "unique", "--problem", "p.json"], ["--problem", "bad.json"],
+                ["--problem", "missing.json"], ["--problem", "."]]),
+    "--gamma": (["2", "10"], ["0", "-1", "nan", "inf", "abc", None]),
+    "--tspan": (["0,1", "0,0.5", "-1,0"],
+                ["1,1", "1,0", "0", "0,inf", "nan,1", "0,abc", "", None]),
+    "--x0": ([None, "zeros", "1,1", "grid:2", "x.json"],
+             ["grid:0", "grid:abc", "grid:", "nan,1", "1,2,3", "bad.json", "missing.json", ""]),
+    "--rtol": ([None, "1e-3"], ["0", "-1", "nan", "inf"]),
+    "--atol": ([None, "1e-6"], ["0", "nan", "inf"]),
+    "--stop-residual": ([None, "1e-3"], ["0", "-1", "nan", "inf"]),
+    "--record-stride": ([None, "3"], ["0", "-1", "1.5"]),
+    "--time-to-tol": ([None, "1e-2,1e-4"], ["", "0", "1,nan", "abc"]),
+    "--out": (["t.csv"], ["nodir/t.csv", None]),
+    "--report": (["r.json"], ["nodir/r.json", None]),
+    "--x": (["x.json"], ["bad.json", "missing.json", "x3.json", None]),
+    "--tol": (["1e-8", "1"], ["0", "-1", "nan", "abc", None]),
+    "--name": (["nope"], ["", None]),
+    "--out-dir": (["suite_out"], [None]),
+}
+FUZZ_FLAGS = {
+    "solve": ["source", "--gamma", "--tspan", "--x0", "--rtol", "--atol", "--stop-residual",
+              "--record-stride", "--time-to-tol", "--out", "--report"],
+    "verify": ["source", "--x", "--tol"],
+    "suite": ["--name", "--out-dir"],
+    "bogus": [],
+    None: [],
+}
+# at fault, these flags may also take free text; it has no decimal digits, so
+# float() reads at most inf or nan from it
+FUZZ_TEXT_FLAGS = ("--tspan", "--x0", "--x")
+FUZZ_TEXT = st.text(st.characters(blacklist_categories=("Cs", "Nd")), max_size=8).filter(
+    lambda v: not v.startswith("-"))
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(["solve", "verify", "suite", "bogus", None]))
+    flags = FUZZ_FLAGS[command]
+    at_fault = draw(st.sets(st.sampled_from(flags), max_size=2)) if flags else set()
+    argv = [] if command is None else [command]
+    for flag in flags:
+        good, bad = FUZZ_VALUES[flag]
+        if flag not in at_fault:
+            value = draw(st.sampled_from(good))
+        elif flag in FUZZ_TEXT_FLAGS and draw(st.booleans()):
+            value = draw(FUZZ_TEXT)
+        else:
+            value = draw(st.sampled_from(bad))
+        if isinstance(value, list):
+            argv += value
+        elif value is not None:
+            argv += [flag, value]
+    return argv + draw(st.lists(st.sampled_from(["extra", "--bogus", "--gamma"]), max_size=1))
+
+
+class TestFuzz:
+    """Whatever the argv, main returns a documented exit code and writes at
+    most one error line to stderr, with no traceback and no warning."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz")
+        save_problem(path / "p.json", example_toy("unique"), x_star=[0.0, 1.0])
+        (path / "bad.json").write_text("{oops")
+        (path / "x.json").write_text("[0, 1]")
+        (path / "x3.json").write_text("[0, 1, 2]")
+        return path
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=fuzz_argv())
+    def test_exit_code_and_stderr(self, workdir, monkeypatch, argv):
+        monkeypatch.chdir(workdir)
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert code in (0, 1, 2, 3)
+        assert err.getvalue() == "" or (err.getvalue().startswith("error:")
+                                        and err.getvalue().count("\n") == 1)
+        assert [str(w.message) for w in caught] == []
 
 
 class TestForkAlongside:

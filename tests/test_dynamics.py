@@ -25,6 +25,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             DynamicsConfig(-1.0)
 
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan])
+    def test_rejects_nonfinite_gamma(self, gamma):
+        with pytest.raises(ValueError):
+            DynamicsConfig(gamma)
+
 
 class TestRhs:
     def test_multi_region_a(self):

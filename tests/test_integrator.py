@@ -61,6 +61,15 @@ class TestOptions:
         with pytest.raises(ValueError):
             IntegratorOptions(record_stride=0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"rtol": math.nan}, {"atol": math.nan}, {"rtol": math.inf},
+        {"stop_on_residual": -1.0}, {"stop_on_residual": 0.0},
+        {"stop_on_residual": math.nan},
+    ])
+    def test_rejects_nonfinite_or_nonpositive_tolerances(self, kwargs):
+        with pytest.raises(ValueError):
+            IntegratorOptions(**kwargs)
+
     @pytest.mark.parametrize("max_steps", [0, -1])
     def test_rejects_max_steps_below_one(self, max_steps):
         with pytest.raises(ValueError):
@@ -89,6 +98,14 @@ class TestIntegrate:
         p = example_toy("unique")
         with pytest.raises(ValueError):
             integrate(p, DynamicsConfig(1.0), [0.0, 0.0], (1.0, 1.0))
+
+    @pytest.mark.parametrize("tspan", [(0.0, math.inf), (math.nan, 1.0), (-math.inf, 0.0),
+                                       (0.0,), (0.0, 0.5, 1.0)])
+    def test_rejects_nonfinite_or_malformed_tspan(self, tspan):
+        # an infinite tf would reject every step until max_steps
+        with pytest.raises(ValueError):
+            integrate(example_toy("unique"), DynamicsConfig(1.0), [0.0, 0.0], tspan,
+                      IntegratorOptions(max_steps=10))
 
     def test_residual_event_stops_early(self):
         p = example_toy("unique")
@@ -205,6 +222,8 @@ class TestTimeToTolerance:
         traj = integrate(p, DynamicsConfig(2.0), [0.0, 1.0], (0.0, 1.0))
         with pytest.raises(ValueError):
             time_to_tolerance(traj, 0.0)
+        with pytest.raises(ValueError):
+            time_to_tolerance(traj, math.nan)
 
 
 def _seed_rk23_step(f, t, x, h, rtol, atol, k1):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from socave.linalg import DenseOperator, TridiagToeplitz
+from socave.linalg import DenseOperator, TridiagToeplitz, as_positive, as_tspan
 from socave.model import AveProblem, problem_from_dict, problem_to_dict
 from socave.problems import example_tridiag
 
@@ -33,6 +33,26 @@ class TestBuildTridiag:
     def test_rejects_zero_size(self):
         with pytest.raises(ValueError):
             dense(0, 1, 1, 1)
+
+
+class TestValidators:
+    @pytest.mark.parametrize("v", [1e-300, 2, 2.5, np.float64(3.0)])
+    def test_positive_accepts_finite_positive_numbers(self, v):
+        assert as_positive(v, "v") == float(v)
+
+    @pytest.mark.parametrize("v", [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, "2", None])
+    def test_positive_rejects_the_rest(self, v):
+        with pytest.raises(ValueError, match="v must be finite and > 0"):
+            as_positive(v, "v")
+
+    def test_tspan_accepts_two_increasing_finite_times(self):
+        assert as_tspan([np.float64(-1.0), 2]) == (-1.0, 2.0)
+
+    @pytest.mark.parametrize("tspan", [(1.0, 1.0), (2.0, 1.0), (0.0, math.inf), (math.nan, 1.0),
+                                       (-math.inf, 0.0), (), (0.0,), (0.0, 1.0, 2.0)])
+    def test_tspan_rejects_the_rest(self, tspan):
+        with pytest.raises(ValueError, match="tspan must be two finite times"):
+            as_tspan(tspan)
 
 
 class TestSpectralNorm:

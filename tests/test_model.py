@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -108,6 +109,10 @@ class TestIsSolution:
     def test_rejects_bad_tol(self, unique):
         with pytest.raises(ValueError):
             is_solution(unique, [0.0, 1.0], 0.0)
+
+    def test_rejects_nan_tol(self, unique):
+        with pytest.raises(ValueError):
+            is_solution(unique, [0.0, 1.0], math.nan)
 
 
 class TestSolvabilityCertificate:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .dynamics import DynamicsConfig
 from .integrator import IntegratorOptions, Termination, integrate, time_to_tolerance
-from .linalg import as_positive, as_tspan, as_vector
+from .linalg import as_numbers, as_positive, as_tspan, as_vector
 from .model import (
     load_problem,
     residual,
@@ -79,8 +79,8 @@ def _load_vector_file(path, n: int) -> np.ndarray:
     try:
         with open(path) as fh:
             data = json.load(fh)
-        return as_vector(np.asarray(data, dtype=float).reshape(-1), n)
-    except (OSError, ValueError, TypeError) as e:
+        return as_vector(np.asarray(as_numbers(data, "entries"), dtype=float).reshape(-1), n)
+    except (OSError, ValueError, TypeError, RecursionError) as e:
         raise ValueError(f"cannot read vector from {path}: {e}") from e
 
 

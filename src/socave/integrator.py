@@ -72,27 +72,15 @@ class Trajectory:
         return 1 + 3 * (self.n_accepted + self.n_rejected)
 
 
-def rk23_step(f, t, x, h, rtol=1e-6, atol=1e-9, k1=None):
-    """One Bogacki-Shampine step: (3rd-order state, scaled error estimate).
+def rk23_step(field, t, x, h, rtol, atol, k1):
+    """One Bogacki-Shampine step for a field(t, x) -> (dx/dt, aux), with
+    k1 = field(t, x)[0] and x finite: (x_high, err, k4, aux4).
 
-    The error estimate is the infinity norm of (x_high - x_low) divided
-    componentwise by atol + rtol * max(|x|, |x_high|). Non-finite stage
-    values yield an infinite estimate so the caller rejects the step.
-    """
-    x = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if k1 is None:
-            k1 = f(t, x)
-        return _bs_step(lambda s, y: (f(s, y), None), t, x, h, rtol, atol, k1)[:2]
-
-
-def _bs_step(field, t, x, h, rtol, atol, k1):
-    """rk23_step for a field(t, x) -> (dx/dt, aux) with k1 given and a
-    finite x; the caller ignores overflow and invalid-value warnings.
-
-    Returns (x_high, err, k4, aux4). Bogacki-Shampine is FSAL: k4 is the
-    field at (t + h, x_high), so after an accepted step it is the next
-    step's k1, and aux4 is whatever the field computed along with it.
+    err is the infinity norm of (x_high - x_low) divided componentwise by
+    atol + rtol * max(|x|, |x_high|), and inf after a non-finite stage, so
+    the caller rejects the step. The pair is FSAL: k4, aux4 = field(t + h,
+    x_high), the next step's k1. _integrate runs under np.errstate; a direct
+    caller handles overflow and invalid-value warnings itself.
     """
     k2 = field(t + 0.5 * h, x + (0.5 * h) * k1)[0]
     k3 = field(t + 0.75 * h, x + (0.75 * h) * k2)[0]
@@ -143,7 +131,7 @@ def _integrate(field, x0, tspan, opts: IntegratorOptions) -> Trajectory:
     h = max(0.01 * (tf - t0), H_MIN)
     fx, aux = field(t0, x)
     t = t0
-    rnorm = float(np.linalg.norm(aux))
+    rnorm = math.sqrt(aux.dot(aux))  # np.linalg.norm's arithmetic
     # states are never mutated: x is rebound to a fresh x_high on each step
     times = [t0]
     states = [x]
@@ -161,12 +149,12 @@ def _integrate(field, x0, tspan, opts: IntegratorOptions) -> Trajectory:
             termination = Termination.MAX_STEPS
             break
         h_trial = min(h, tf - t)
-        x_new, err, k4, aux4 = _bs_step(field, t, x, h_trial, opts.rtol, opts.atol, fx)
+        x_new, err, k4, aux4 = rk23_step(field, t, x, h_trial, opts.rtol, opts.atol, fx)
         if err <= 1.0:
             t = t + h_trial
             x, fx = x_new, k4
             n_accepted += 1
-            rnorm = math.sqrt(aux4.dot(aux4))  # np.linalg.norm's arithmetic
+            rnorm = math.sqrt(aux4.dot(aux4))
             event = (opts.stop_on_residual is not None
                      and rnorm <= opts.stop_on_residual)
             # robust endpoint test: floating accumulation can leave t a few
@@ -176,7 +164,7 @@ def _integrate(field, x0, tspan, opts: IntegratorOptions) -> Trajectory:
                 termination = Termination.RESIDUAL_EVENT
             elif done:
                 termination = Termination.REACHED_TF
-            if termination is not None or n_accepted % opts.record_stride == 0:
+            if n_accepted % opts.record_stride == 0:
                 times.append(t)
                 states.append(x)
                 res_norms.append(rnorm)
@@ -188,7 +176,7 @@ def _integrate(field, x0, tspan, opts: IntegratorOptions) -> Trajectory:
         if termination is None and h < H_MIN:
             termination = Termination.STEP_UNDERFLOW
 
-    if times[-1] < t:  # make sure the last accepted state is recorded
+    if n_accepted % opts.record_stride:  # the last accepted state, if not yet recorded
         times.append(t)
         states.append(x)
         res_norms.append(rnorm)

@@ -16,16 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def as_matrix(A) -> np.ndarray:
-    """Validate and return a finite 2-d float64 matrix."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2:
-        raise ValueError(f"expected a matrix, got ndim={A.ndim}")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("matrix entries must be finite")
-    return A
-
-
 def as_vector(x, dim: int | None = None) -> np.ndarray:
     """Validate and return a finite 1-d float64 vector, optionally of fixed dim."""
     x = np.asarray(x, dtype=float)
@@ -46,17 +36,49 @@ def as_integer(v, what: str) -> int:
     return int(v)
 
 
+def _finite(v) -> float | None:
+    """v as a float if it is a finite real number, else None. A bool or a
+    string is not a number, and an int past the float range is not finite
+    (float() raises OverflowError on it)."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return None
+    try:
+        x = float(v)
+    except OverflowError:
+        return None
+    return x if math.isfinite(x) else None
+
+
+def as_finite(v, what: str) -> float:
+    """Validate and return a finite real number, as a float."""
+    x = _finite(v)
+    if x is None:
+        raise ValueError(f"{what} must be a finite number, got {v!r}")
+    return x
+
+
+def as_numbers(v, what: str):
+    """v, a number or a (nested) list of numbers as JSON holds them, with
+    each number through as_finite: the rule for numbers read from a file."""
+    if isinstance(v, list):
+        return [as_numbers(e, what) for e in v]
+    if type(v) is float and math.isfinite(v):  # the common case, 5x faster
+        return v
+    return as_finite(v, what)
+
+
 def as_positive(v, what: str) -> float:
     """Validate and return a finite real number > 0, as a float."""
-    if not (isinstance(v, numbers.Real) and math.isfinite(v) and v > 0):
+    x = _finite(v)
+    if x is None or x <= 0:
         raise ValueError(f"{what} must be finite and > 0, got {v!r}")
-    return float(v)
+    return x
 
 
 def as_tspan(tspan) -> tuple[float, float]:
     """Validate and return a time span (t0, tf): two finite times, t0 < tf."""
-    t = [float(v) for v in tspan]
-    if not (len(t) == 2 and math.isfinite(t[0]) and math.isfinite(t[1]) and t[0] < t[1]):
+    t = [_finite(v) for v in tspan]
+    if not (len(t) == 2 and None not in t and t[0] < t[1]):
         raise ValueError(f"tspan must be two finite times t0 < tf, got {tspan!r}")
     return t[0], t[1]
 
@@ -65,7 +87,11 @@ class DenseOperator:
     """A stored matrix; matvec and rmatvec are A @ x and A.T @ x."""
 
     def __init__(self, A):
-        A = as_matrix(A)
+        A = np.asarray(A, dtype=float)
+        if A.ndim != 2:
+            raise ValueError(f"expected a matrix, got ndim={A.ndim}")
+        if not np.all(np.isfinite(A)):
+            raise ValueError("matrix entries must be finite")
         A.setflags(write=False)
         self.array = A
 
@@ -108,10 +134,7 @@ class TridiagToeplitz:
         if self.n < 1:
             raise ValueError("n must be >= 1")
         for name in ("sub", "diag", "sup"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"tridiag {name} must be finite")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, as_finite(getattr(self, name), f"tridiag {name}"))
         # the convolution kernels of matvec and rmatvec, built once
         object.__setattr__(self, "_kernel", np.array([self.sup, self.diag, self.sub]))
         object.__setattr__(self, "_rkernel", np.array([self.sub, self.diag, self.sup]))

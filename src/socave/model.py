@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DenseOperator, TridiagToeplitz, as_integer, as_positive, as_vector
+from .linalg import (DenseOperator, TridiagToeplitz, as_integer, as_numbers, as_positive,
+                     as_vector)
 from .soc import ConeStructure, abs_kernel, project_kernel
 
 CERT_EPS = 1e-10
@@ -94,6 +95,15 @@ def is_solution(p: AveProblem, x, tol: float) -> bool:
     return float(np.linalg.norm(residual(p, x))) <= tol
 
 
+def known_solution(p: AveProblem, x_star) -> np.ndarray:
+    """x_star as a validated vector, re-verified as a solution of p to 1e-8
+    rather than trusted."""
+    x_star = as_vector(x_star, p.n)
+    if not is_solution(p, x_star, 1e-8):
+        raise ValueError("x_star is not a solution of the problem")
+    return x_star
+
+
 def solvability_certificate(p: AveProblem) -> SolvabilityCertificate:
     """Classify by sigma_min(A): > 1 guarantees a unique solution."""
     sigma = p.A.sigma_min()
@@ -108,13 +118,9 @@ def solvability_certificate(p: AveProblem) -> SolvabilityCertificate:
 
 def contraction_gap(p: AveProblem, x, x_star) -> float:
     """(x - x*)^T A^T r(x) - 0.5*||r(x)||^2; nonnegative when sigma_min(A) >= 1.
-
-    x_star is re-verified as a solution rather than trusted.
-    """
+    x_star goes through known_solution."""
     x = as_vector(x, p.n)
-    x_star = as_vector(x_star, p.n)
-    if not is_solution(p, x_star, 1e-8):
-        raise ValueError("x_star is not a solution of the problem")
+    x_star = known_solution(p, x_star)
     r = residual(p, x)
     return float((x - x_star) @ p.A.rmatvec(r) - 0.5 * (r @ r))
 
@@ -141,24 +147,26 @@ def problem_to_dict(p: AveProblem, x_star=None) -> dict:
 
 
 def problem_from_dict(d: dict) -> tuple[AveProblem, np.ndarray | None]:
-    """Build a problem (and optional known solution) from the JSON schema."""
+    """Build a problem (and optional known solution) from the JSON schema.
+    Sizes go through as_integer and every other number through as_finite, so
+    a string or a bool is not read as a number."""
     try:
         n = as_integer(d["n"], "n")
         cone = ConeStructure(tuple(d["cone_blocks"]))
         spec = d["A"]
         kind = spec["kind"]
         if kind == "dense":
-            A = DenseOperator(spec["entries"])
+            A = DenseOperator(as_numbers(spec["entries"], "A entries"))
             if A.shape != (n, n):
                 raise ValueError(f"dense A has shape {A.shape}, expected ({n}, {n}) from n")
         elif kind == "tridiag":
             A = TridiagToeplitz(n, spec["sub"], spec["diag"], spec["sup"])
         else:
             raise ValueError(f"unknown matrix kind {kind!r}")
-        b = np.asarray(d["b"], dtype=float)
+        b = as_numbers(d["b"], "b")
         x_star = None
         if d.get("x_star") is not None:
-            x_star = as_vector(np.asarray(d["x_star"], dtype=float), n)
+            x_star = as_vector(as_numbers(d["x_star"], "x_star"), n)
         p = AveProblem(A, b, cone, name=str(d.get("name", "")))
     except (KeyError, TypeError) as e:
         raise ValueError(f"malformed problem description: {e}") from e
@@ -166,12 +174,14 @@ def problem_from_dict(d: dict) -> tuple[AveProblem, np.ndarray | None]:
 
 
 def load_problem(path) -> tuple[AveProblem, np.ndarray | None]:
-    with open(path) as fh:
-        try:
-            d = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"invalid JSON in {path}: {e}") from e
-    return problem_from_dict(d)
+    """problem_from_dict of the JSON file at path; a ValueError names the file."""
+    try:
+        with open(path) as fh:
+            return problem_from_dict(json.load(fh))
+    except json.JSONDecodeError as e:
+        raise ValueError(f"invalid JSON in {path}: {e}") from e
+    except (ValueError, RecursionError) as e:  # RecursionError: lists nested too deep
+        raise ValueError(f"{path}: {e}") from e
 
 
 def save_problem(path, p: AveProblem, x_star=None) -> None:

@@ -12,6 +12,10 @@ from .model import AveProblem
 from .rng import SplitMix64
 from .soc import ConeStructure, soc_abs
 
+# initial_grid's sphere radius, and the seed of its directions when n > 2
+GRID_RADIUS = 3.0
+GRID_SEED = 12345
+
 TOY_RHS = {
     "multi": (0.0, 0.0),
     "unique": (-1.0, -1.0),
@@ -74,8 +78,8 @@ def random_unique(n: int, blocks: ConeStructure, margin: float,
     return p, x_star
 
 
-def initial_grid(center, k: int, radius: float = 3.0, seed: int = 12345) -> np.ndarray:
-    """k deterministic start points on the sphere of given radius about center.
+def initial_grid(center, k: int) -> np.ndarray:
+    """k deterministic start points on the sphere of radius GRID_RADIUS about center.
 
     In 2-d the points are equally spaced on the circle starting at angle 0;
     in higher dimensions directions come from a fixed seeded gaussian
@@ -89,11 +93,11 @@ def initial_grid(center, k: int, radius: float = 3.0, seed: int = 12345) -> np.n
     if n == 2:
         for j in range(k):
             theta = 2.0 * math.pi * j / k
-            pts[j] = center + radius * np.array([math.cos(theta), math.sin(theta)])
+            pts[j] = center + GRID_RADIUS * np.array([math.cos(theta), math.sin(theta)])
     else:
-        rng = SplitMix64(seed)
+        rng = SplitMix64(GRID_SEED)
         for j in range(k):
             d = np.array(rng.gaussians(n))
             d /= np.linalg.norm(d)
-            pts[j] = center + radius * d
+            pts[j] = center + GRID_RADIUS * d
     return pts

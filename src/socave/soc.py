@@ -76,6 +76,8 @@ def _split(x: np.ndarray, i: int, tail: slice):
     arithmetic of np.linalg.norm for a real vector."""
     x2 = x[tail]
     s = math.sqrt(x2.dot(x2))
+    # x1 stays a numpy scalar: its arithmetic gives nan or inf where a Python
+    # float raises, e.g. project_kernel's t / s with a nan head and s = 0
     return x[i], (0.0 if s < TAIL_ZERO_TOL else s), x2
 
 
@@ -121,16 +123,11 @@ def soc_abs(x, cone: ConeStructure) -> np.ndarray:
 def abs_kernel(x: np.ndarray, cone: ConeStructure) -> np.ndarray:
     """soc_abs without input validation, for the integrator's hot path: x
     must be a float vector of dimension cone.dim; non-finite entries give
-    non-finite output instead of an error.
-
-    The head is a Python float and the tail norm is _split's, inlined
-    because a call costs more than the arithmetic of a small block."""
+    non-finite output instead of an error."""
     out = np.empty_like(x)
     for i, tail in cone._parts:
-        x1 = float(x[i])
-        xt = x[tail]
-        s = math.sqrt(xt.dot(xt))
-        if s < TAIL_ZERO_TOL:
+        x1, s, xt = _split(x, i, tail)
+        if s == 0.0:
             out[i] = abs(x1)
             out[tail] = 0.0
         else:

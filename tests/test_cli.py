@@ -270,6 +270,75 @@ class TestSchema:
         assert main(["verify", "--problem", str(problem), "--x", x, "--tol", "1e-8"]) == 0
 
 
+def problem_text(b="[-1, -1]", A='{"kind": "dense", "entries": [[1, 0], [0, -1]]}',
+                 x_star="[0, 1]"):
+    """The unique toy as JSON text, with the given fields spliced in."""
+    return f'{{"n": 2, "cone_blocks": [2], "A": {A}, "b": {b}, "x_star": {x_star}}}'
+
+
+class TestSchemaNumbers:
+    """A schema error names the file, and every number in a problem JSON is
+    a JSON number: a string or a bool is rejected, not converted."""
+
+    @pytest.mark.parametrize("text", [
+        '{"n": 2.7, "cone_blocks": [2], "b": [1, 1], "A": {"kind": "tridiag", '
+        '"sub": -1, "diag": 4, "sup": -1}}',
+        '{"n": 2, "cone_blocks": [2], "b": [1, 1]}',
+    ])
+    def test_schema_error_names_the_file(self, tmp_path, capsys, text):
+        problem = tmp_path / "p.json"
+        problem.write_text(text)
+        x = write_vector(tmp_path, "x.json", [0.0, 1.0])
+        assert main(["verify", "--problem", str(problem), "--x", x, "--tol", "1e-8"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {problem}: ") and err.count("\n") == 1
+
+    def test_valid_problem_passes(self, tmp_path):
+        problem = tmp_path / "p.json"
+        problem.write_text(problem_text())
+        x = write_vector(tmp_path, "x.json", [0.0, 1.0])
+        assert main(["verify", "--problem", str(problem), "--x", x, "--tol", "1e-8"]) == 0
+
+    @pytest.mark.parametrize("field, fields", [
+        ("b", {"b": '["-1", true]'}),
+        ("b", {"b": "[-1, true]"}),
+        ("b", {"b": "[-1, 1" + "0" * 400 + "]"}),
+        ("A entries", {"A": '{"kind": "dense", "entries": [["1", 0], [0, -1]]}'}),
+        ("A entries", {"A": '{"kind": "dense", "entries": [[true, 0], [0, -1]]}'}),
+        ("x_star", {"x_star": '["0", "1"]'}),
+        ("tridiag sub", {"A": '{"kind": "tridiag", "sub": "-1", "diag": 4, "sup": -1}'}),
+        ("tridiag diag", {"A": '{"kind": "tridiag", "sub": -1, "diag": true, "sup": -1}'}),
+    ])
+    def test_non_number_exits_1(self, tmp_path, capsys, field, fields):
+        problem = tmp_path / "p.json"
+        problem.write_text(problem_text(**fields))
+        x = write_vector(tmp_path, "x.json", [0.0, 1.0])
+        assert main(["verify", "--problem", str(problem), "--x", x, "--tol", "1e-8"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {problem}: {field} must be a finite number")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("depth", [990, 100_000])
+    def test_deeply_nested_json_exits_1(self, tmp_path, unique_file, capsys, depth):
+        # past the recursion limit of json.load, or of the walk over its lists
+        nested = "[" * depth + "1" + "]" * depth
+        problem = tmp_path / "p.json"
+        problem.write_text(problem_text(b=nested))
+        x = write_vector(tmp_path, "x.json", [0.0, 1.0])
+        assert main(["verify", "--problem", str(problem), "--x", x, "--tol", "1e-8"]) == 1
+        (tmp_path / "deep.json").write_text(nested)
+        assert main(["verify", "--problem", unique_file, "--x", str(tmp_path / "deep.json"),
+                     "--tol", "1e-8"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith(f"error: {problem}: ") and err[1].startswith("error: cannot read")
+        assert len(err) == 2
+
+    def test_non_number_in_vector_file_exits_1(self, tmp_path, unique_file, capsys):
+        x = write_vector(tmp_path, "x.json", ["0", True])
+        assert main(["verify", "--problem", unique_file, "--x", x, "--tol", "1e-8"]) == 1
+        assert "must be a finite number" in capsys.readouterr().err
+
+
 class TestOverflow:
     """A finite input whose residual overflows is a run that fails, reported
     through the exit code, with nothing on stderr."""
@@ -490,6 +559,67 @@ class TestFuzz:
             warnings.simplefilter("always")
             code = main(argv)
         assert code in (0, 1, 2, 3)
+        assert err.getvalue() == "" or (err.getvalue().startswith("error:")
+                                        and err.getvalue().count("\n") == 1)
+        assert [str(w.message) for w in caught] == []
+
+
+# a valid problem of each matrix kind, and the places in it where the fuzz
+# puts an arbitrary JSON value; lists stay short, so no value sets up an
+# n-sized array before the sizes disagree. JSON integers have no bound, so
+# they reach past the float range
+FUZZ_PROBLEMS = {
+    "dense": {"n": 2, "cone_blocks": [2], "name": "toy", "b": [-1, -1], "x_star": [0, 1],
+              "A": {"kind": "dense", "entries": [[1, 0], [0, -1]]}},
+    "tridiag": {"n": 2, "cone_blocks": [1, 1], "b": [-4, 4], "x_star": [-1, 1],
+                "A": {"kind": "tridiag", "sub": -1, "diag": 4, "sup": -1}},
+}
+FUZZ_PATHS = {
+    "dense": [("n",), ("cone_blocks",), ("cone_blocks", 0), ("name",), ("b",), ("b", 1),
+              ("x_star",), ("x_star", 0), ("A",), ("A", "kind"), ("A", "entries"),
+              ("A", "entries", 0), ("A", "entries", 1, 1)],
+    "tridiag": [("n",), ("cone_blocks", 1), ("b", 0), ("A", "kind"), ("A", "sub"),
+                ("A", "diag"), ("A", "sup")],
+}
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**400, 10**400) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+
+
+class TestProblemFuzz:
+    """Whatever one field of a problem JSON holds, verify exits 0, 1 or 3
+    with at most one error line on stderr, no traceback and no warning."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("problem_fuzz")
+        (path / "x.json").write_text("[0, 1]")
+        return path
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_exit_code_and_stderr(self, workdir, data):
+        kind = data.draw(st.sampled_from(sorted(FUZZ_PROBLEMS)))
+        path = data.draw(st.sampled_from(FUZZ_PATHS[kind]))
+        d = json.loads(json.dumps(FUZZ_PROBLEMS[kind]))
+        parent = d
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = data.draw(JSON_VALUES)
+        problem = workdir / "p.json"
+        problem.write_text(json.dumps(d))
+        argv = ["verify", "--problem", str(problem), "--x", str(workdir / "x.json"),
+                "--tol", "1e-8"]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert code in (0, 1, 3)
         assert err.getvalue() == "" or (err.getvalue().startswith("error:")
                                         and err.getvalue().count("\n") == 1)
         assert [str(w.message) for w in caught] == []

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import socave.dynamics
+import socave.integrator
 from socave.dynamics import DynamicsConfig, lyapunov_value, rhs
 from socave.integrator import (
     H_MIN,
@@ -20,35 +21,40 @@ from socave.problems import example_toy, example_tridiag, random_unique
 from socave.soc import ConeStructure
 
 
+def _step(f, x, h, rtol=1e-6, atol=1e-9):
+    """rk23_step from t = 0 for a plain field f(t, x) -> dx/dt: (x_high, err)."""
+    return rk23_step(lambda t, y: (f(t, y), None), 0.0, x, h, rtol, atol, f(0.0, x))[:2]
+
+
 class TestRk23Step:
     def test_constant_solution(self):
         x = np.array([1.0, -2.0])
-        x_high, err = rk23_step(lambda t, y: np.zeros(2), 0.0, x, 0.5)
+        x_high, err = _step(lambda t, y: np.zeros(2), x, 0.5)
         assert np.array_equal(x_high, x)
         assert err == 0.0
 
     def test_exponential_decay(self):
-        x_high, err = rk23_step(lambda t, y: -y, 0.0, np.array([1.0]), 0.1,
-                                rtol=1e-3, atol=1e-6)
+        x_high, err = _step(lambda t, y: -y, np.array([1.0]), 0.1, rtol=1e-3, atol=1e-6)
         assert x_high[0] == pytest.approx(math.exp(-0.1), abs=1e-5)
         assert err < 1.0
 
     def test_pure_drift_integrated_exactly(self):
-        x_high, err = rk23_step(lambda t, y: np.ones(1), 0.0, np.zeros(1), 0.3)
+        x_high, err = _step(lambda t, y: np.ones(1), np.zeros(1), 0.3)
         assert x_high[0] == pytest.approx(0.3, abs=1e-16)
         assert err == 0.0
 
     def test_nonfinite_stage_reports_failure(self):
-        def f(t, y):
-            return y * 1e200
-        _, err = rk23_step(f, 0.0, np.array([1e200]), 1.0)
+        # a direct caller handles the overflow warnings itself
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, err = _step(lambda t, y: y * 1e200, np.array([1e200]), 1.0)
         assert err == math.inf
 
     def test_nonfinite_stage_emits_no_warning(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            _, err = rk23_step(lambda t, y: y * 1e200, 0.0, np.array([1e200]), 1.0)
-        assert err == math.inf
+            traj = integrate_ode(lambda t, y: y * 1e200, [1e200], (0.0, 1.0))
+        assert traj.termination is Termination.STEP_UNDERFLOW
+        assert traj.n_rejected_nonfinite == traj.n_rejected > 0
         assert [str(w.message) for w in caught] == []
 
 
@@ -74,6 +80,31 @@ class TestOptions:
     def test_rejects_max_steps_below_one(self, max_steps):
         with pytest.raises(ValueError):
             IntegratorOptions(max_steps=max_steps)
+
+    def test_int_past_the_float_range_is_a_value_error(self):
+        # float() raises OverflowError on it, which the validators turn into ValueError
+        with pytest.raises(ValueError, match="gamma must be finite and > 0"):
+            DynamicsConfig(10**400)
+        with pytest.raises(ValueError, match="rtol must be finite and > 0"):
+            IntegratorOptions(rtol=10**400)
+        with pytest.raises(ValueError, match="tspan must be two finite times"):
+            integrate(example_toy("unique"), DynamicsConfig(1.0), [0.0, 0.0], (0, 10**400),
+                      IntegratorOptions(max_steps=10))
+
+
+def test_integrate_steps_through_the_module_global(monkeypatch):
+    # a tracer that rebinds socave.integrator.rk23_step sees every attempt
+    calls = []
+    step = socave.integrator.rk23_step
+
+    def counting(*args):
+        calls.append(args[1])
+        return step(*args)
+
+    monkeypatch.setattr(socave.integrator, "rk23_step", counting)
+    traj = integrate(example_toy("unique"), DynamicsConfig(2.0), [2.0, -2.0], (0.0, 5.0))
+    assert traj.n_rejected > 0
+    assert len(calls) == traj.n_accepted + traj.n_rejected
 
 
 class TestIntegrate:

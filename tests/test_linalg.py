@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from socave.linalg import DenseOperator, TridiagToeplitz, as_positive, as_tspan
+from socave.linalg import DenseOperator, TridiagToeplitz, as_numbers, as_positive, as_tspan
 from socave.model import AveProblem, problem_from_dict, problem_to_dict
 from socave.problems import example_tridiag
 
@@ -44,6 +44,23 @@ class TestValidators:
     def test_positive_rejects_the_rest(self, v):
         with pytest.raises(ValueError, match="v must be finite and > 0"):
             as_positive(v, "v")
+
+    @pytest.mark.parametrize("v", [10**400, -10**400, True, False])
+    def test_positive_rejects_huge_ints_and_bools(self, v):
+        with pytest.raises(ValueError, match="v must be finite and > 0"):
+            as_positive(v, "v")
+
+    @pytest.mark.parametrize("tspan", [(0, 10**400), (-10**400, 0), (False, True), ("0", "1")])
+    def test_tspan_rejects_huge_ints_bools_and_strings(self, tspan):
+        with pytest.raises(ValueError, match="tspan must be two finite times"):
+            as_tspan(tspan)
+
+    def test_numbers_checks_each_entry_of_nested_lists(self):
+        assert as_numbers([[1, 2.5], [np.float64(3)]], "m") == [[1.0, 2.5], [3.0]]
+        assert as_numbers(-4, "m") == -4.0
+        for bad in (["1"], [[0, True]], [None], [{}], [10**400], [math.nan], [[-math.inf]]):
+            with pytest.raises(ValueError, match="m must be a finite number"):
+                as_numbers(bad, "m")
 
     def test_tspan_accepts_two_increasing_finite_times(self):
         assert as_tspan([np.float64(-1.0), 2]) == (-1.0, 2.0)

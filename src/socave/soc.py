@@ -127,6 +127,9 @@ def abs_kernel(x: np.ndarray, cone: ConeStructure) -> np.ndarray:
     out = np.empty_like(x)
     for i, tail in cone._parts:
         x1, s, xt = _split(x, i, tail)
+        # a Python float head: faster scalar arithmetic than a numpy scalar
+        # and no warning where |x| overflows; safe, as / s runs only if s != 0
+        x1 = float(x1)
         if s == 0.0:
             out[i] = abs(x1)
             out[tail] = 0.0

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +111,13 @@ class TestSocAbs:
     def test_scalar_blocks_are_componentwise(self):
         cone = ConeStructure((1, 1, 1))
         assert soc_abs(np.array([-1.0, 2.0, -3.0]), cone).tolist() == [1, 2, 3]
+
+    def test_overflow_on_finite_input_is_silent(self):
+        # |x| of a finite x can overflow; the result is inf, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = soc_abs([1.7e308, 1e150], K2)
+        assert got.tolist() == [math.inf, 0.0]
 
     @given(finite_vectors(3))
     def test_square_consistency(self, x):

@@ -30,7 +30,7 @@ from .model import (
     residual_projection_form,
     solvability_certificate,
 )
-from .problems import example_toy, example_tridiag, initial_grid
+from .problems import TOY_RHS, example_toy, example_tridiag, initial_grid
 from .reporting import write_trajectory_csv
 
 
@@ -65,6 +65,8 @@ def _input_errors():
 
 def _load_cli_problem(args):
     """(problem, known x_star or None) from --problem or --builtin."""
+    if args.n is not None and args.builtin != "tridiag":
+        raise InputError("--n applies only to --builtin tridiag")
     if args.problem:
         return load_problem(args.problem)
     if args.builtin == "tridiag":
@@ -134,6 +136,9 @@ def cmd_solve(args) -> int:
                                  stop_on_residual=args.stop_residual,
                                  record_stride=args.record_stride)
         report_tols = [as_positive(tol, "--time-to-tol") for tol in args.time_to_tol]
+        if report_tols and opts.record_stride != 1:
+            # time_to_tolerance sees only the recorded rows
+            raise InputError("--time-to-tol needs --record-stride 1")
     cert = solvability_certificate(p)
     name = p.name or (args.problem or args.builtin)
 
@@ -145,8 +150,7 @@ def cmd_solve(args) -> int:
         traj = integrate(p, cfg, x0, tspan, opts)
         wall = time.perf_counter() - t_start
         xf = traj.final_state
-        # recomputed from the final state, not copied from the trajectory
-        rnorm = float(np.linalg.norm(residual(p, xf)))
+        rnorm = float(traj.residual_norms[-1])  # the last row is the final state
         reports.append({
             "problem": name,
             "certificate": {"sigma_min": _finite_or_none(cert.sigma_min),
@@ -220,7 +224,7 @@ def cmd_suite(args) -> int:
 def _add_problem_source(sp):
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--problem", help="problem JSON file")
-    group.add_argument("--builtin", choices=["tridiag", "multi", "unique", "none"],
+    group.add_argument("--builtin", choices=["tridiag", *TOY_RHS],
                        help="built-in problem")
     sp.add_argument("--n", type=int, help="dimension for --builtin tridiag")
 

@@ -15,7 +15,7 @@ import numpy as np
 from .dynamics import DynamicsConfig, rhs
 from .integrator import IntegratorOptions, integrate, time_to_tolerance
 from .model import AveProblem
-from .problems import example_toy, example_tridiag, initial_grid
+from .problems import TOY_RHS, example_toy, example_tridiag, initial_grid
 from .reporting import write_trajectory_csv
 
 TOY_GAMMA = 2.0
@@ -180,7 +180,7 @@ def run_paper_suite(out_dir=None) -> dict:
     def rest():
         small = run_tridiag_experiment(n=100, out_dir=out_dir)
         return small, {name: run_toy_experiment(name, out_dir=out_dir)
-                       for name in ("multi", "unique", "none")}
+                       for name in TOY_RHS}
 
     # run_tridiag_experiment is looked up at the call, so a replacement
     # bound in this module before the fork runs in the child too

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DynamicsConfig, rhs_and_residual
-from .linalg import as_positive, as_tspan, as_vector
+from .linalg import as_count, as_positive, as_tspan, as_vector
 from .model import AveProblem
 
 
@@ -44,10 +44,8 @@ class IntegratorOptions:
         as_positive(self.atol, "atol")
         if self.stop_on_residual is not None:
             as_positive(self.stop_on_residual, "stop_on_residual")
-        if self.record_stride < 1:
-            raise ValueError("record_stride must be >= 1")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+        for name in ("max_steps", "record_stride"):
+            object.__setattr__(self, name, as_count(getattr(self, name), name))
 
 
 @dataclass(frozen=True)

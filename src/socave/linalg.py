@@ -28,11 +28,11 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     return x
 
 
-def as_integer(v, what: str) -> int:
-    """Validate and return an integer (not a bool) or integer-valued float."""
-    if isinstance(v, bool) or not (isinstance(v, numbers.Integral)
-                                   or isinstance(v, float) and v.is_integer()):
-        raise ValueError(f"{what} must be an integer, got {v!r}")
+def as_count(v, what: str) -> int:
+    """Validate and return a count: an int (not a bool) or integer-valued float >= 1."""
+    integral = isinstance(v, numbers.Integral) and not isinstance(v, bool)
+    if not (integral or isinstance(v, float) and v.is_integer()) or v < 1:
+        raise ValueError(f"{what} must be an integer >= 1, got {v!r}")
     return int(v)
 
 
@@ -85,7 +85,7 @@ class DenseOperator:
     """A stored matrix; matvec and rmatvec are A @ x and A.T @ x."""
 
     def __init__(self, A):
-        A = np.asarray(A, dtype=float)
+        A = np.array(A, dtype=float)  # a copy: the caller's array stays writable
         if A.ndim != 2:
             raise ValueError(f"expected a matrix, got ndim={A.ndim}")
         if not np.all(np.isfinite(A)):
@@ -129,8 +129,7 @@ class TridiagToeplitz:
     sup: float
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        object.__setattr__(self, "n", as_count(self.n, "n"))
         for name in ("sub", "diag", "sup"):
             object.__setattr__(self, name, as_finite(getattr(self, name), f"tridiag {name}"))
         # the convolution kernels of matvec and rmatvec, built once

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (DenseOperator, TridiagToeplitz, as_integer, as_numbers, as_positive,
-                     as_vector)
+from .linalg import DenseOperator, TridiagToeplitz, as_count, as_numbers, as_positive, as_vector
 from .soc import ConeStructure, abs_kernel, project_kernel
 
 CERT_EPS = 1e-10
@@ -38,7 +37,7 @@ class AveProblem:
             A = DenseOperator(A)
         if A.shape[0] != A.shape[1]:
             raise ValueError("A must be square")
-        b = as_vector(self.b, A.shape[0])
+        b = as_vector(self.b, A.shape[0]).copy()  # the caller's b stays writable
         if self.cone.dim != A.shape[0]:
             raise ValueError("cone dimension must match A")
         b.setflags(write=False)
@@ -148,10 +147,10 @@ def problem_to_dict(p: AveProblem, x_star=None) -> dict:
 
 def problem_from_dict(d: dict) -> tuple[AveProblem, np.ndarray | None]:
     """Build a problem (and optional known solution) from the JSON schema.
-    Sizes go through as_integer and every other number through as_finite, so
+    Sizes go through as_count and every other number through as_finite, so
     a string or a bool is not read as a number."""
     try:
-        n = as_integer(d["n"], "n")
+        n = as_count(d["n"], "n")
         cone = ConeStructure(tuple(d["cone_blocks"]))
         spec = d["A"]
         kind = spec["kind"]

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .linalg import TridiagToeplitz, as_positive
+from .linalg import TridiagToeplitz, as_count, as_positive
 from .model import AveProblem
 from .rng import SplitMix64
 from .soc import ConeStructure, soc_abs
@@ -30,8 +30,9 @@ def example_tridiag(n: int) -> tuple[AveProblem, np.ndarray]:
     b is built as A x* - |x*| so the residual at x* vanishes by
     construction. The whole space is one SOC block.
     """
-    if n < 2 or n % 2 != 0:
-        raise ValueError("n must be even and >= 2")
+    n = as_count(n, "n")
+    if n % 2:
+        raise ValueError(f"n must be even, got {n}")
     A = TridiagToeplitz(n, -1.0, 4.0, -1.0)
     x_star = np.tile([-1.0, 1.0], n // 2)
     cone = ConeStructure((n,))
@@ -64,6 +65,7 @@ def random_unique(n: int, blocks: ConeStructure, margin: float,
     values uniform in [1 + margin, 3 + margin]; x* is standard gaussian and
     b = A x* - |x*|.
     """
+    n = as_count(n, "n")
     as_positive(margin, "margin")
     if blocks.dim != n:
         raise ValueError("blocks must partition R^n")
@@ -87,8 +89,7 @@ def initial_grid(center, k: int) -> np.ndarray:
     """
     center = np.asarray(center, dtype=float)
     n = center.shape[0]
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = as_count(k, "k")
     pts = np.empty((k, n))
     if n == 2:
         for j in range(k):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_integer, as_vector
+from .linalg import as_count, as_finite, as_vector
 
 # below this, the tail of a block is treated as exactly zero (both branch
 # limits of the spectral formulas agree there)
@@ -28,11 +28,9 @@ class ConeStructure:
 
     def __post_init__(self):
         object.__setattr__(self, "blocks",
-                           tuple(as_integer(b, "block size") for b in self.blocks))
+                           tuple(as_count(b, "block size") for b in self.blocks))
         if not self.blocks:
             raise ValueError("at least one block required")
-        if any(b < 1 for b in self.blocks):
-            raise ValueError("block sizes must be positive")
         # built once for the kernels: per block (head index, tail slice); the
         # tail of a size-1 block is empty
         parts, start = [], 0
@@ -164,9 +162,9 @@ def project_kernel(x: np.ndarray, cone: ConeStructure) -> np.ndarray:
 
 
 def in_cone(x, cone: ConeStructure, tol: float = 1e-10) -> bool:
-    """True if every block has lam1 >= -tol."""
-    x = as_vector(x, cone.dim)
-    return all(eigenvalues(x[sl])[0] >= -tol for sl in cone.slices())
+    """True if every block is Interior or Boundary, i.e. has lam1 >= -tol."""
+    return all(m in (Membership.INTERIOR, Membership.BOUNDARY)
+               for m in cone_membership(x, cone, tol))
 
 
 def cone_membership(x, cone: ConeStructure, tol: float = 1e-10) -> list[Membership]:
@@ -174,10 +172,10 @@ def cone_membership(x, cone: ConeStructure, tol: float = 1e-10) -> list[Membersh
 
     lam1 <= lam2 are the block eigenvalues. Interior/Boundary refer to K;
     InsideNegativeCone means strictly inside -K, OutsideCone on the boundary
-    of -K (outside K), Neither is in neither cone.
+    of -K (outside K), Neither is in neither cone. tol is a finite number >= 0.
     """
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
+    if as_finite(tol, "tol") < 0:
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
     x = as_vector(x, cone.dim)
     out = []
     for sl in cone.slices():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from socave.cli import main
 from socave.experiments import _fork_alongside
-from socave.model import save_problem
+from socave.model import residual, save_problem
 from socave.problems import example_toy
 from socave.reporting import read_trajectory_csv
 
@@ -96,6 +96,17 @@ class TestSolve:
         rep = json.loads(report.read_text())
         assert rep["termination"] == "ReachedTf"
         assert rep["time_to_tolerance"]["0.001"] is None
+
+    def test_final_residual_is_the_norm_at_the_final_state(self, tmp_path, unique_file):
+        # the report takes the last recorded norm, which a stride does not skip
+        report = tmp_path / "r.json"
+        assert main(["solve", "--problem", unique_file, "--gamma", "2", "--tspan", "0,50",
+                     "--x0", "grid:3", "--stop-residual", "1e-6", "--record-stride", "7",
+                     "--out", str(tmp_path / "t.csv"), "--report", str(report)]) == 0
+        p = example_toy("unique")
+        for rep in json.loads(report.read_text()):
+            assert rep["final_residual_norm"] == \
+                float(np.linalg.norm(residual(p, rep["final_state"])))
 
     def test_grid_source_writes_indexed_csvs(self, tmp_path, unique_file):
         out = tmp_path / "t.csv"
@@ -190,6 +201,12 @@ class TestSolve:
         (["verify", "--builtin", "unique", "--x", "x.json", "--tol", "nan"], "tol"),
         (SOLVE + ["--tspan", "0"], "tspan"),
         (SOLVE + ["--x0", "grid:abc"], "--x0"),
+        # --n is for --builtin tridiag only
+        (SOLVE + ["--n", "7"], "--n"),
+        (["verify", "--builtin", "unique", "--n", "9", "--x", "x.json", "--tol", "1"], "--n"),
+        (["verify", "--problem", "x.json", "--n", "2", "--x", "x.json", "--tol", "1"], "--n"),
+        # time_to_tolerance reads only the recorded rows
+        (SOLVE + ["--time-to-tol", "1e-3", "--record-stride", "50"], "--record-stride"),
     ])
     def test_malformed_input_is_one_error_line_naming_it(self, tmp_path, monkeypatch,
                                                          capsys, argv, named):

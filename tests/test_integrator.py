@@ -81,6 +81,18 @@ class TestOptions:
         with pytest.raises(ValueError):
             IntegratorOptions(max_steps=max_steps)
 
+    @pytest.mark.parametrize("name", ["record_stride", "max_steps"])
+    @pytest.mark.parametrize("value", [1.5, True, math.nan, math.inf, "2"])
+    def test_counts_are_integers(self, name, value):
+        # a nan max_steps would be no limit: n >= nan is never true
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+            IntegratorOptions(**{name: value})
+
+    def test_integer_valued_float_counts_become_ints(self):
+        opts = IntegratorOptions(record_stride=5.0, max_steps=1e6)
+        assert (opts.record_stride, opts.max_steps) == (5, 10**6)
+        assert type(opts.record_stride) is int and type(opts.max_steps) is int
+
     def test_int_past_the_float_range_is_a_value_error(self):
         # float() raises OverflowError on it, which the validators turn into ValueError
         with pytest.raises(ValueError, match="gamma must be finite and > 0"):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from socave.linalg import DenseOperator, TridiagToeplitz, as_numbers, as_positive, as_tspan
+from socave.linalg import (DenseOperator, TridiagToeplitz, as_count, as_numbers, as_positive,
+                           as_tspan)
 from socave.model import AveProblem, problem_from_dict, problem_to_dict
 from socave.problems import example_tridiag
 
@@ -61,6 +62,18 @@ class TestValidators:
         for bad in (["1"], [[0, True]], [None], [{}], [10**400], [math.nan], [[-math.inf]]):
             with pytest.raises(ValueError, match="m must be a finite number"):
                 as_numbers(bad, "m")
+
+    @pytest.mark.parametrize("v", [1, 7, 2.0, np.int64(3), np.float64(4.0),
+                                   pytest.param(10**400, id="10**400")])
+    def test_count_accepts_integers_and_integer_valued_floats(self, v):
+        n = as_count(v, "v")
+        assert n == v and type(n) is int
+
+    @pytest.mark.parametrize("v", [0, -1, 0.0, 1.5, True, False, math.nan, math.inf, 1e400,
+                                   "2", None, np.bool_(True)])
+    def test_count_rejects_the_rest(self, v):
+        with pytest.raises(ValueError, match="v must be an integer >= 1"):
+            as_count(v, "v")
 
     def test_tspan_accepts_two_increasing_finite_times(self):
         assert as_tspan([np.float64(-1.0), 2]) == (-1.0, 2.0)
@@ -144,6 +157,13 @@ class TestDenseOperator:
         assert isinstance(p.A, DenseOperator)
         assert not p.A.to_dense().flags.writeable
 
+    def test_problem_freezes_copies_not_the_callers_arrays(self):
+        A, b = np.eye(2), np.zeros(2)
+        p = AveProblem(A, b, example_tridiag(2)[0].cone)
+        A[0, 0], b[0] = 3.0, 5.0
+        assert p.A.array.tolist() == [[1.0, 0.0], [0.0, 1.0]] and p.b.tolist() == [0.0, 0.0]
+        assert not p.A.array.flags.writeable and not p.b.flags.writeable
+
 
 class TestTridiagToeplitz:
     @pytest.mark.parametrize("n", SIZES)
@@ -221,6 +241,15 @@ class TestTridiagToeplitz:
     def test_rejects_zero_size(self):
         with pytest.raises(ValueError):
             TridiagToeplitz(0, -1, 4, -1)
+
+    @pytest.mark.parametrize("n", [2.5, True, math.nan])
+    def test_size_is_a_count(self, n):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            TridiagToeplitz(n, -1, 4, -1)
+
+    def test_integer_valued_float_size_becomes_an_int(self):
+        op = TridiagToeplitz(3.0, -1, 4, -1)
+        assert op.shape == (3, 3) and type(op.n) is int
 
 
 class TestOperatorSchema:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,15 @@ class TestExampleTridiag:
     def test_rejects_odd_or_tiny(self, n):
         with pytest.raises(ValueError):
             example_tridiag(n)
+
+    @pytest.mark.parametrize("n", [4.5, True, "4"])
+    def test_rejects_a_size_that_is_not_a_count(self, n):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            example_tridiag(n)
+
+    def test_integer_valued_float_size_is_the_int(self):
+        p, x_star = example_tridiag(4.0)
+        assert p.n == 4 and x_star.tolist() == [-1, 1, -1, 1]
 
 
 class TestExampleToy:
@@ -100,6 +111,17 @@ class TestRandomUnique:
         with pytest.raises(ValueError):
             random_unique(4, ConeStructure((4,)), 0.0, 1)
 
+    @pytest.mark.parametrize("n, blocks", [(True, (1,)), (2.5, (2,)), (math.nan, (2,))])
+    def test_rejects_a_size_that_is_not_a_count(self, n, blocks):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            random_unique(n, ConeStructure(blocks), 0.5, 1)
+
+    def test_integer_valued_float_size_is_the_int(self):
+        (p, x_star), (q, y_star) = (random_unique(n, ConeStructure((2,)), 0.5, 1)
+                                    for n in (2.0, 2))
+        assert np.array_equal(p.A.to_dense(), q.A.to_dense())
+        assert np.array_equal(x_star, y_star) and p.name == q.name
+
 
 class TestInitialGrid:
     def test_circle_in_2d(self):
@@ -115,3 +137,8 @@ class TestInitialGrid:
 
     def test_deterministic(self):
         assert np.array_equal(initial_grid(np.zeros(4), 6), initial_grid(np.zeros(4), 6))
+
+    @pytest.mark.parametrize("k", [2.5, 0, True])
+    def test_rejects_a_point_count_that_is_not_a_count(self, k):
+        with pytest.raises(ValueError, match="k must be an integer >= 1"):
+            initial_grid([0.0, 1.0], k)

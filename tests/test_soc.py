@@ -185,6 +185,13 @@ class TestMembership:
         out = cone_membership(np.array([2.0, 1.0, 0.0, 2.0]), cone, 1e-12)
         assert out == [Membership.INTERIOR, Membership.NEITHER]
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-3, "0", True, None])
+    def test_tol_is_a_finite_number_at_least_zero(self, tol):
+        # a nan tol would label an interior point Neither
+        for test in (cone_membership, in_cone):
+            with pytest.raises(ValueError, match="tol must be"):
+                test(np.array([1.0, 0.0]), K2, tol)
+
     @given(finite_vectors(3))
     def test_consistent_with_eigenvalue_signs(self, x):
         (label,) = cone_membership(x, K3, 1e-10)
@@ -443,3 +450,15 @@ class TestSplitBitwise:
             for tol in (0.0, TAIL_ZERO_TOL, 1e-10, 1.0):
                 assert cone_membership(x, cone, tol) == \
                     _reference_cone_membership(x, cone, tol)
+
+
+@settings(max_examples=300)
+@given(finite_cone_and_vector())
+@_with_examples(FINITE_CASES)
+def test_in_cone_is_lam1_at_least_minus_tol(case):
+    # in_cone reads cone_membership's labels; for tol >= 0 that is this test
+    cone, x = case
+    with np.errstate(all="ignore"):
+        for tol in (0.0, TAIL_ZERO_TOL, 1e-10, 1.0):
+            assert in_cone(x, cone, tol) == all(
+                _reference_eigenvalues(x[sl])[0] >= -tol for sl in cone.slices())

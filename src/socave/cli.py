@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import os
 import sys
@@ -31,7 +30,7 @@ from .model import (
     solvability_certificate,
 )
 from .problems import TOY_RHS, example_toy, example_tridiag, initial_grid
-from .reporting import write_trajectory_csv
+from .reporting import read_json, write_json, write_trajectory_csv
 
 
 class InputError(Exception):
@@ -78,12 +77,8 @@ def _load_cli_problem(args):
 
 def _load_vector_file(path, n: int) -> np.ndarray:
     """The vector of dimension n held in the JSON file at path."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        return as_vector(np.asarray(as_numbers(data, "entries"), dtype=float).reshape(-1), n)
-    except (OSError, ValueError, TypeError, RecursionError) as e:
-        raise ValueError(f"cannot read vector from {path}: {e}") from e
+    return read_json(path, lambda data: as_vector(
+        np.asarray(as_numbers(data, "entries"), dtype=float).reshape(-1), n))
 
 
 def _resolve_starts(spec: str, n: int, x_star) -> np.ndarray:
@@ -139,7 +134,7 @@ def cmd_solve(args) -> int:
         if report_tols and opts.record_stride != 1:
             # time_to_tolerance sees only the recorded rows
             raise InputError("--time-to-tol needs --record-stride 1")
-    cert = solvability_certificate(p)
+        cert = solvability_certificate(p)  # a size limit raises ValueError
     name = p.name or (args.problem or args.builtin)
 
     reports = []
@@ -175,10 +170,8 @@ def cmd_solve(args) -> int:
             write_trajectory_csv(out, traj)
         ok = ok and traj.termination in (Termination.REACHED_TF, Termination.RESIDUAL_EVENT)
 
-    with _writing(args.report), open(args.report, "w") as fh:
-        json.dump(reports[0] if len(reports) == 1 else reports, fh, indent=2,
-                  allow_nan=False)
-        fh.write("\n")
+    with _writing(args.report):
+        write_json(args.report, reports[0] if len(reports) == 1 else reports)
     for line in lines:
         print(line)
     return 0 if ok else 2
@@ -212,9 +205,8 @@ def cmd_suite(args) -> int:
         raise InputError(f"cannot write {args.out_dir}: directory is not writable")
     summary = run_paper_suite(out_dir=args.out_dir)
     path = os.path.join(args.out_dir, "summary.json")
-    with _writing(path), open(path, "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    with _writing(path):
+        write_json(path, summary)
     for name, passed in summary["criteria"].items():
         print(f"{'PASS' if passed else 'FAIL'}  {name}")
     print(f"summary written to {path}")

@@ -105,8 +105,10 @@ def integrate_ode(f, x0, tspan, opts: IntegratorOptions = IntegratorOptions()) -
     """Integrate dx/dt = f(t, x) over tspan with adaptive stepping.
 
     The recorded residual norms, which also drive the stop_on_residual
-    event, are the norms of the vector field itself.
+    event, are the norms of the vector field itself. x0 is validated here.
     """
+    x0 = as_vector(x0)
+
     def field(t, x):
         v = f(t, x)
         return v, v
@@ -202,8 +204,12 @@ def integrate(p: AveProblem, cfg: DynamicsConfig, x0, tspan,
 
 
 def time_to_tolerance(traj: Trajectory, tol: float) -> float | None:
-    """First recorded time with residual norm <= tol, or None."""
+    """First time with residual norm <= tol, or None. It needs every
+    accepted step recorded (record_stride 1): a ValueError otherwise."""
     as_positive(tol, "tol")
+    if len(traj.times) != traj.n_accepted + 1:
+        raise ValueError(f"time_to_tolerance needs every accepted step recorded; "
+                         f"{len(traj.times)} rows for {traj.n_accepted} steps")
     hits = np.nonzero(traj.residual_norms <= tol)[0]
     if hits.size == 0:
         return None

@@ -10,12 +10,12 @@ exposed so they can cross-check each other.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import DenseOperator, TridiagToeplitz, as_count, as_numbers, as_positive, as_vector
+from .reporting import read_json, write_json
 from .soc import ConeStructure, abs_kernel, project_kernel
 
 CERT_EPS = 1e-10
@@ -174,16 +174,8 @@ def problem_from_dict(d: dict) -> tuple[AveProblem, np.ndarray | None]:
 
 def load_problem(path) -> tuple[AveProblem, np.ndarray | None]:
     """problem_from_dict of the JSON file at path; a ValueError names the file."""
-    try:
-        with open(path) as fh:
-            return problem_from_dict(json.load(fh))
-    except json.JSONDecodeError as e:
-        raise ValueError(f"invalid JSON in {path}: {e}") from e
-    except (ValueError, RecursionError) as e:  # RecursionError: lists nested too deep
-        raise ValueError(f"{path}: {e}") from e
+    return read_json(path, problem_from_dict)
 
 
 def save_problem(path, p: AveProblem, x_star=None) -> None:
-    with open(path, "w") as fh:
-        json.dump(problem_to_dict(p, x_star), fh, indent=2)
-        fh.write("\n")
+    write_json(path, problem_to_dict(p, x_star))

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .linalg import TridiagToeplitz, as_count, as_positive
+from .linalg import TridiagToeplitz, as_count, as_positive, as_vector
 from .model import AveProblem
 from .rng import SplitMix64
 from .soc import ConeStructure, soc_abs
@@ -87,7 +87,7 @@ def initial_grid(center, k: int) -> np.ndarray:
     in higher dimensions directions come from a fixed seeded gaussian
     stream, normalized.
     """
-    center = np.asarray(center, dtype=float)
+    center = as_vector(center)
     n = center.shape[0]
     k = as_count(k, "k")
     pts = np.empty((k, n))

@@ -185,6 +185,19 @@ class TestSolve:
         assert rep["certificate"]["sigma_min"] == pytest.approx(2.0, rel=1e-9)
         assert rep["n_accepted"] > 0
 
+    def test_nonsymmetric_tridiag_past_the_dense_limit_exits_1(self, tmp_path, capsys):
+        # its certificate would take a dense SVD of a 2002 x 2002 matrix
+        problem = tmp_path / "p.json"
+        problem.write_text(json.dumps({
+            "n": 2002, "cone_blocks": [2002], "b": [0.0] * 2002,
+            "A": {"kind": "tridiag", "sub": -0.7, "diag": 4, "sup": -1.3}}))
+        code = main(["solve", "--problem", str(problem), "--gamma", "1", "--tspan", "0,1",
+                     "--out", str(tmp_path / "t.csv"), "--report", str(tmp_path / "r.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "n <= 2000" in err and err.count("\n") == 1
+        assert not (tmp_path / "t.csv").exists()
+
     @pytest.mark.parametrize("argv, named", [
         (SOLVE + ["--gamma", "abc"], "--gamma"),
         ([a for a in SOLVE if a not in ("--tspan", "0,1")], "--tspan"),
@@ -347,8 +360,30 @@ class TestSchemaNumbers:
         assert main(["verify", "--problem", unique_file, "--x", str(tmp_path / "deep.json"),
                      "--tol", "1e-8"]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert err[0].startswith(f"error: {problem}: ") and err[1].startswith("error: cannot read")
+        deep = tmp_path / "deep.json"
+        assert err[0].startswith(f"error: {problem}: ") and err[1].startswith(f"error: {deep}: ")
         assert len(err) == 2
+
+    @pytest.mark.parametrize("flag, text, reason", [
+        ("--problem", None, "No such file or directory"),
+        ("--x", None, "No such file or directory"),
+        ("--problem", "{oops", "invalid JSON: "),
+        ("--x", "[0, 1", "invalid JSON: "),
+        ("--x", "[" * 990 + "1" + "]" * 990, "maximum recursion depth"),
+        ("--x", '[0, "1"]', "entries must be a finite number"),
+    ], ids=["missing-problem", "missing-x", "invalid-problem", "invalid-x", "deep-x",
+            "string-in-x"])
+    def test_file_error_is_one_line_naming_the_file(self, tmp_path, unique_file, capsys,
+                                                    flag, text, reason):
+        path = tmp_path / "bad.json"
+        if text is not None:
+            path.write_text(text)
+        files = {"--problem": unique_file, "--x": write_vector(tmp_path, "x.json", [0, 1]),
+                 flag: str(path)}
+        argv = ["verify", "--problem", files["--problem"], "--x", files["--x"], "--tol", "1"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {reason}") and err.count("\n") == 1
 
     def test_non_number_in_vector_file_exits_1(self, tmp_path, unique_file, capsys):
         x = write_vector(tmp_path, "x.json", ["0", True])

@@ -226,6 +226,11 @@ class TestIntegrate:
 
 
 class TestGenericOde:
+    @pytest.mark.parametrize("x0", [[[1.0, 2.0]], 1.0, [math.nan], [math.inf, 0.0]])
+    def test_validates_x0(self, x0):
+        with pytest.raises(ValueError):
+            integrate_ode(lambda t, y: -y, x0, (0.0, 1.0))
+
     def test_third_order_error_scaling(self):
         # on dx/dt = -x the global error at t=1 tracks the tolerance
         errs = []
@@ -259,6 +264,13 @@ class TestTimeToTolerance:
             times.append(time_to_tolerance(traj, 1e-4))
         assert all(t is not None for t in times)
         assert times[0] > times[1] > times[2]
+
+    def test_rejects_a_strided_trajectory(self):
+        p, _ = example_tridiag(100)
+        traj = integrate(p, DynamicsConfig(100.0), np.zeros(100), (0.0, 0.1),
+                         IntegratorOptions(record_stride=50))
+        with pytest.raises(ValueError, match="every accepted step"):
+            time_to_tolerance(traj, 1e-3)
 
     def test_rejects_bad_tol(self):
         p = example_toy("unique")

@@ -221,6 +221,16 @@ class TestTridiagToeplitz:
         op = TridiagToeplitz(n, sub, diag, sup)
         assert abs(op.norm() - eig.max()) > 1e-3
 
+    def test_nonsymmetric_past_the_dense_limit_raises_at_once(self, monkeypatch):
+        def no_dense(self):
+            raise AssertionError("an n-by-n array was built")
+
+        monkeypatch.setattr(TridiagToeplitz, "to_dense", no_dense)
+        op = TridiagToeplitz(2002, -0.7, 4, -1.3)
+        for method in (op.sigma_min, op.norm):
+            with pytest.raises(ValueError, match="n <= 2000.*sub == sup"):
+                method()
+
     def test_size_counts_stored_nonzeros(self):
         assert TridiagToeplitz(1, -1, 4, -1).size == 1
         assert TridiagToeplitz(10 ** 5, -1, 4, -1).size == 3 * 10 ** 5 - 2

@@ -166,6 +166,12 @@ class TestJsonSchema:
         assert p.cone == unique.cone
         assert x_star.tolist() == [0, 1]
 
+    def test_save_rejects_a_non_finite_x_star(self, tmp_path, unique):
+        path = tmp_path / "p.json"
+        with pytest.raises(ValueError):
+            save_problem(path, unique, x_star=[math.nan, 1.0])
+        assert not path.exists()
+
     def test_tridiag_kind(self):
         d = {
             "n": 4,

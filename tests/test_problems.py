@@ -138,6 +138,11 @@ class TestInitialGrid:
     def test_deterministic(self):
         assert np.array_equal(initial_grid(np.zeros(4), 6), initial_grid(np.zeros(4), 6))
 
+    @pytest.mark.parametrize("center", [[math.nan, 0.0], [0.0, math.inf], [[0.0, 1.0]], 1.0])
+    def test_rejects_a_center_that_is_not_a_finite_vector(self, center):
+        with pytest.raises(ValueError):
+            initial_grid(center, 2)
+
     @pytest.mark.parametrize("k", [2.5, 0, True])
     def test_rejects_a_point_count_that_is_not_a_count(self, k):
         with pytest.raises(ValueError, match="k must be an integer >= 1"):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .dynamics import DynamicsConfig
 from .integrator import IntegratorOptions, Termination, integrate, time_to_tolerance
-from .linalg import as_numbers, as_positive, as_tspan, as_vector
+from .linalg import as_positive, as_tspan, as_vector
 from .model import (
     load_problem,
     residual,
@@ -54,11 +54,12 @@ def float_list(text: str) -> list[float]:
 
 @contextlib.contextmanager
 def _input_errors():
-    """A command's one boundary for its input: a ValueError, TypeError or
-    OSError raised while reading it becomes an InputError."""
+    """A command's one boundary for its input: a ValueError, TypeError,
+    OSError or MemoryError (an input too large to allocate) raised while
+    reading it becomes an InputError."""
     try:
         yield
-    except (ValueError, TypeError, OSError) as e:
+    except (ValueError, TypeError, OSError, MemoryError) as e:
         raise InputError(str(e)) from e
 
 
@@ -76,9 +77,8 @@ def _load_cli_problem(args):
 
 
 def _load_vector_file(path, n: int) -> np.ndarray:
-    """The vector of dimension n held in the JSON file at path."""
-    return read_json(path, lambda data: as_vector(
-        np.asarray(as_numbers(data, "entries"), dtype=float).reshape(-1), n))
+    """The vector of dimension n held, as a flat list, in the JSON file at path."""
+    return read_json(path, lambda data: as_vector(data, n, "entries"))
 
 
 def _resolve_starts(spec: str, n: int, x_star) -> np.ndarray:

@@ -20,18 +20,6 @@ import numpy as np
 DENSE_SVD_MAX_N = 2000
 
 
-def as_vector(x, dim: int | None = None) -> np.ndarray:
-    """Validate and return a finite 1-d float64 vector, optionally of fixed dim."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"expected a vector, got ndim={x.ndim}")
-    if dim is not None and x.shape[0] != dim:
-        raise ValueError(f"expected dimension {dim}, got {x.shape[0]}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("vector entries must be finite")
-    return x
-
-
 def as_count(v, what: str) -> int:
     """Validate and return a count: an int (not a bool) or integer-valued float >= 1."""
     integral = isinstance(v, numbers.Integral) and not isinstance(v, bool)
@@ -62,11 +50,36 @@ def as_finite(v, what: str) -> float:
 
 
 def as_numbers(v, what: str):
-    """v, a number or a (nested) list of numbers as JSON holds them, with
-    each number through as_finite: the rule for numbers read from a file."""
-    if isinstance(v, list):
+    """v, a number or a (nested) list or tuple of numbers as JSON holds them,
+    or a numpy array, with each number through as_finite: the rule for every
+    number that enters the package."""
+    if isinstance(v, np.ndarray):
+        v = v.tolist()
+    if isinstance(v, (list, tuple)):
         return [as_numbers(e, what) for e in v]
     return as_finite(v, what)
+
+
+def as_array(v, ndim: int, what: str) -> np.ndarray:
+    """v as a float64 array of ndim dimensions whose every entry is a finite
+    real number, and not a bool, a string or a complex number. A real numpy
+    array with finite entries is taken whole, without a copy if it is
+    float64; anything else goes entry by entry through as_numbers."""
+    if isinstance(v, np.ndarray) and v.dtype.kind in "fiu" and np.isfinite(v).all():
+        a = v.astype(float, copy=False)
+    else:
+        a = np.array(as_numbers(v, what), dtype=float)
+    if a.ndim != ndim:
+        raise ValueError(f"{what} must have ndim={ndim}, got ndim={a.ndim}")
+    return a
+
+
+def as_vector(x, dim: int | None = None, what: str = "vector") -> np.ndarray:
+    """as_array(x, 1, what), optionally of dimension dim."""
+    x = as_array(x, 1, what)
+    if dim is not None and x.shape[0] != dim:
+        raise ValueError(f"{what} has dimension {x.shape[0]}, expected {dim}")
+    return x
 
 
 def as_positive(v, what: str) -> float:
@@ -89,11 +102,7 @@ class DenseOperator:
     """A stored matrix; matvec and rmatvec are A @ x and A.T @ x."""
 
     def __init__(self, A):
-        A = np.array(A, dtype=float)  # a copy: the caller's array stays writable
-        if A.ndim != 2:
-            raise ValueError(f"expected a matrix, got ndim={A.ndim}")
-        if not np.all(np.isfinite(A)):
-            raise ValueError("matrix entries must be finite")
+        A = as_array(A, 2, "A entries").copy()  # a copy: the caller's array stays writable
         A.setflags(write=False)
         self.array = A
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DenseOperator, TridiagToeplitz, as_count, as_numbers, as_positive, as_vector
+from .linalg import DenseOperator, TridiagToeplitz, as_count, as_positive, as_vector
 from .reporting import read_json, write_json
 from .soc import ConeStructure, abs_kernel, project_kernel
 
@@ -37,7 +37,7 @@ class AveProblem:
             A = DenseOperator(A)
         if A.shape[0] != A.shape[1]:
             raise ValueError("A must be square")
-        b = as_vector(self.b, A.shape[0]).copy()  # the caller's b stays writable
+        b = as_vector(self.b, A.shape[0], "b").copy()  # the caller's b stays writable
         if self.cone.dim != A.shape[0]:
             raise ValueError("cone dimension must match A")
         b.setflags(write=False)
@@ -147,26 +147,26 @@ def problem_to_dict(p: AveProblem, x_star=None) -> dict:
 
 def problem_from_dict(d: dict) -> tuple[AveProblem, np.ndarray | None]:
     """Build a problem (and optional known solution) from the JSON schema.
-    Sizes go through as_count and every other number through as_finite, so
-    a string or a bool is not read as a number."""
+    Sizes go through as_count and every other number through as_finite
+    (the constructors' as_array), so a string or a bool is not read as a
+    number."""
     try:
         n = as_count(d["n"], "n")
         cone = ConeStructure(tuple(d["cone_blocks"]))
         spec = d["A"]
         kind = spec["kind"]
         if kind == "dense":
-            A = DenseOperator(as_numbers(spec["entries"], "A entries"))
+            A = DenseOperator(spec["entries"])
             if A.shape != (n, n):
                 raise ValueError(f"dense A has shape {A.shape}, expected ({n}, {n}) from n")
         elif kind == "tridiag":
             A = TridiagToeplitz(n, spec["sub"], spec["diag"], spec["sup"])
         else:
             raise ValueError(f"unknown matrix kind {kind!r}")
-        b = as_numbers(d["b"], "b")
+        p = AveProblem(A, d["b"], cone, name=str(d.get("name", "")))
         x_star = None
         if d.get("x_star") is not None:
-            x_star = as_vector(as_numbers(d["x_star"], "x_star"), n)
-        p = AveProblem(A, b, cone, name=str(d.get("name", "")))
+            x_star = as_vector(d["x_star"], n, "x_star")
     except (KeyError, TypeError) as e:
         raise ValueError(f"malformed problem description: {e}") from e
     return p, x_star

@@ -185,6 +185,18 @@ class TestSolve:
         assert rep["certificate"]["sigma_min"] == pytest.approx(2.0, rel=1e-9)
         assert rep["n_accepted"] > 0
 
+    # 8 PB and 1.6 PB, past the 2**47-byte user address space, so the
+    # allocation fails at once whatever the overcommit setting
+    @pytest.mark.parametrize("source", [["--builtin", "tridiag", "--n", "1000000000000000"],
+                                        ["--builtin", "unique", "--x0", "grid:100000000000000"]],
+                             ids=["tridiag-n", "grid-k"])
+    def test_an_input_too_large_to_allocate_exits_1(self, tmp_path, capsys, source):
+        code = main(["solve", *source, "--gamma", "1", "--tspan", "0,1",
+                     "--out", str(tmp_path / "t.csv"), "--report", str(tmp_path / "r.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
     def test_nonsymmetric_tridiag_past_the_dense_limit_exits_1(self, tmp_path, capsys):
         # its certificate would take a dense SVD of a 2002 x 2002 matrix
         problem = tmp_path / "p.json"
@@ -385,6 +397,13 @@ class TestSchemaNumbers:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: {reason}") and err.count("\n") == 1
 
+    def test_nested_vector_file_exits_1(self, tmp_path, unique_file, capsys):
+        # a vector file holds a flat list; [[0, 1]] is not flattened
+        x = write_vector(tmp_path, "x.json", [[0, 1]])
+        assert main(["verify", "--problem", unique_file, "--x", x, "--tol", "1e-8"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {x}: entries must have ndim=1") and err.count("\n") == 1
+
     def test_non_number_in_vector_file_exits_1(self, tmp_path, unique_file, capsys):
         x = write_vector(tmp_path, "x.json", ["0", True])
         assert main(["verify", "--problem", unique_file, "--x", x, "--tol", "1e-8"]) == 1
@@ -533,12 +552,14 @@ FUZZ_VALUES = {
                [[], ["--builtin", "tridiag"], ["--builtin", "tridiag", "--n", "3"],
                 ["--builtin", "tridiag", "--n", "1.5"], ["--builtin", "bogus"],
                 ["--builtin", "unique", "--problem", "p.json"], ["--problem", "bad.json"],
-                ["--problem", "missing.json"], ["--problem", "."]]),
+                ["--problem", "missing.json"], ["--problem", "."],
+                ["--builtin", "tridiag", "--n", "1000000000000000"]]),
     "--gamma": (["2", "10"], ["0", "-1", "nan", "inf", "abc", None]),
     "--tspan": (["0,1", "0,0.5", "-1,0"],
                 ["1,1", "1,0", "0", "0,inf", "nan,1", "0,abc", "", None]),
     "--x0": ([None, "zeros", "1,1", "grid:2", "x.json"],
-             ["grid:0", "grid:abc", "grid:", "nan,1", "1,2,3", "bad.json", "missing.json", ""]),
+             ["grid:0", "grid:abc", "grid:", "nan,1", "1,2,3", "bad.json", "missing.json", "",
+              "grid:100000000000000"]),
     "--rtol": ([None, "1e-3"], ["0", "-1", "nan", "inf"]),
     "--atol": ([None, "1e-6"], ["0", "nan", "inf"]),
     "--stop-residual": ([None, "1e-3"], ["0", "-1", "nan", "inf"]),

@@ -1,14 +1,20 @@
 import math
+import numbers
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as npst
 
-from socave.linalg import (DenseOperator, TridiagToeplitz, as_count, as_numbers, as_positive,
-                           as_tspan)
+from socave.dynamics import DynamicsConfig
+from socave.integrator import integrate
+from socave.linalg import (DenseOperator, TridiagToeplitz, as_array, as_count, as_numbers,
+                           as_positive, as_tspan, as_vector)
 from socave.model import AveProblem, problem_from_dict, problem_to_dict
-from socave.problems import example_tridiag
+from socave.problems import example_toy, example_tridiag
+from socave.soc import ConeStructure
 
 SIZES = (1, 2, 3, 10, 101)
 # (sub, diag, sup); the last two are not symmetric
@@ -83,6 +89,126 @@ class TestValidators:
     def test_tspan_rejects_the_rest(self, tspan):
         with pytest.raises(ValueError, match="tspan must be two finite times"):
             as_tspan(tspan)
+
+
+# numbers, and values that are not finite real numbers or are bools; and the
+# numpy dtypes whose arrays the rule takes whole (float32, int64) or entry by
+# entry (the rest)
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-2**53, 2**53)
+ANY = (st.floats() | st.integers(-10**400, 10**400) | st.booleans() | st.text(max_size=3)
+       | st.complex_numbers() | st.none())
+DTYPES = ("bool", "complex128", "float32", "int64", "object", "<U3")
+
+
+def number_inputs(scalars):
+    """Scalars, numpy arrays of DTYPES (objects drawn from scalars) and
+    nested lists and tuples of both."""
+    arrays = st.sampled_from(DTYPES).flatmap(lambda dt: npst.arrays(
+        dt, npst.array_shapes(max_dims=3, max_side=3),
+        elements=scalars if dt == "object" else None))
+    return st.recursive(scalars | arrays, lambda inner: st.lists(inner, min_size=1, max_size=3)
+                        | st.lists(inner, min_size=1, max_size=3).map(tuple), max_leaves=8)
+
+
+def floats_of(v, ndim):
+    """float() of each number in v, nested ndim deep, or None unless v is a
+    rectangular nesting, ndim deep, of finite real numbers that are not bools."""
+    if ndim == 0:
+        if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real):
+            return None
+        try:
+            x = float(v)
+        except OverflowError:
+            return None
+        return x if math.isfinite(x) else None
+    if not isinstance(v, (list, tuple, np.ndarray)):
+        return None
+    rows = [floats_of(e, ndim - 1) for e in v]
+    if any(r is None for r in rows) or len({len(r) for r in rows if isinstance(r, list)}) > 1:
+        return None
+    return rows
+
+
+class TestOneNumberRule:
+    """as_array decides every number that enters the package, so a library
+    caller gets the rule of a problem file: finite real numbers, no bools,
+    strings or complex numbers, and a ValueError naming the value otherwise."""
+
+    @pytest.mark.parametrize("call, label", [
+        (lambda: as_vector(["0", "1"]), "vector"),
+        (lambda: integrate(example_toy("unique"), DynamicsConfig(2.0), ["0", "1"], (0, 1)),
+         "vector"),
+        (lambda: as_vector([True, 2.5]), "vector"),
+        (lambda: as_vector(np.array([True, False])), "vector"),
+        (lambda: AveProblem(np.eye(2), ["-1", True], ConeStructure((2,))), "b"),
+        (lambda: DenseOperator([["1", "0"], ["0", True]]), "A entries"),
+        (lambda: DenseOperator(np.array([[1 + 1j]])), "A entries"),
+        (lambda: as_vector(np.array([1 + 1j, 2])), "vector"),
+        (lambda: as_vector([10**400, 0]), "vector"),
+        (lambda: DenseOperator([[10**400]]), "A entries"),
+        (lambda: as_vector([1 + 2j]), "vector"),
+    ], ids=["strings", "integrate-strings", "bool", "bool-array", "problem-b", "dense-strings",
+            "dense-complex-array", "complex-array", "huge-int", "dense-huge-int", "complex"])
+    def test_a_library_caller_gets_the_file_rule(self, call, label):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{label} must be a finite number, got "):
+                call()
+
+    @pytest.mark.parametrize("v", [np.array([1.5, -2.0], dtype=np.float32),
+                                   np.array([3, -4], dtype=np.int64), (1.5, -2),
+                                   [np.float64(1.5), np.float64(-2.0)]],
+                             ids=["float32", "int64", "tuple", "np.float64-list"])
+    def test_valid_inputs_keep_their_values(self, v):
+        expected = [float(e) for e in v]
+        assert as_vector(v).dtype == np.float64 and as_vector(v).tolist() == expected
+        assert AveProblem(np.eye(2), v, ConeStructure((2,))).b.tolist() == expected
+        assert DenseOperator([v, v]).array.tolist() == [expected, expected]
+
+    def test_a_float64_vector_comes_back_uncopied(self):
+        x = np.array([1.0, 2.0])
+        assert as_vector(x) is x and as_array(x, 1, "x") is x
+
+    def test_a_non_finite_array_gets_the_message_of_a_list(self):
+        for v in ([1.0, math.nan], np.array([1.0, math.nan]), np.array([1.0, math.nan], dtype=object)):
+            with pytest.raises(ValueError, match="^vector must be a finite number, got nan$"):
+                as_vector(v)
+
+    def test_shape_errors_name_the_value(self):
+        with pytest.raises(ValueError, match="^vector must have ndim=1, got ndim=2$"):
+            as_vector([[0, 1]])
+        with pytest.raises(ValueError, match="^x_star has dimension 2, expected 3$"):
+            as_vector([0, 1], 3, "x_star")
+        with pytest.raises(ValueError, match="^A entries must have ndim=2, got ndim=1$"):
+            DenseOperator([1, 2])
+        with pytest.raises(ValueError, match="^b has dimension 3, expected 2$"):
+            AveProblem(np.eye(2), [0, 0, 0], ConeStructure((2,)))
+
+    def test_numbers_walks_tuples_and_arrays(self):
+        assert as_numbers((1, [2.5, np.int64(3)]), "m") == [1.0, [2.5, 3.0]]
+        assert as_numbers(np.array([[1, 2]], dtype=np.int64), "m") == [[1.0, 2.0]]
+        with pytest.raises(ValueError, match="m must be a finite number, got True"):
+            as_numbers(np.array([True]), "m")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_every_entry_point_returns_finite_floats_or_raises_value_error(self, data):
+        v = data.draw(number_inputs(data.draw(st.sampled_from([FINITE, ANY]))))
+        n = len(v) if isinstance(v, (list, tuple, np.ndarray)) else 1
+        entry_points = [(1, as_vector, lambda x: x), (2, DenseOperator, lambda op: op.array),
+                        (1, lambda b: AveProblem(np.eye(n), b, ConeStructure((n,))),
+                         lambda p: p.b)]
+        for ndim, make, array_of in entry_points:
+            expected = floats_of(v, ndim)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                if expected is None:
+                    with pytest.raises(ValueError):
+                        make(v)
+                    continue
+                got = array_of(make(v))
+            assert got.dtype == np.float64 and np.isfinite(got).all()
+            assert got.tolist() == expected
 
 
 class TestSpectralNorm:

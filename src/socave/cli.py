@@ -55,11 +55,12 @@ def float_list(text: str) -> list[float]:
 @contextlib.contextmanager
 def _input_errors():
     """A command's one boundary for its input: a ValueError, TypeError,
-    OSError or MemoryError (an input too large to allocate) raised while
-    reading it becomes an InputError."""
+    OSError, MemoryError (an input too large to allocate) or OverflowError
+    (a count past the C long range) raised while reading it becomes an
+    InputError."""
     try:
         yield
-    except (ValueError, TypeError, OSError, MemoryError) as e:
+    except (ValueError, TypeError, OSError, MemoryError, OverflowError) as e:
         raise InputError(str(e)) from e
 
 

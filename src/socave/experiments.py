@@ -168,24 +168,25 @@ def _fork_alongside(child, here):
 def run_paper_suite(out_dir=None) -> dict:
     """Full reference-experiment suite; returns summary with per-criterion flags.
 
-    The n = 1000 tridiagonal experiment is independent of the rest, so a
-    child forked first runs it, and writes its CSVs, while this process
-    runs the n = 100 experiment and the toys; only its result dict comes
+    The tridiagonal experiments are independent of the toys, so a child
+    forked first runs them, n = 1000 and then n = 100, and writes their
+    CSVs, while this process runs the toys; only their result dicts come
     back. The outputs are those of a serial run. A failure in the child is
     raised here.
     """
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
 
-    def rest():
-        small = run_tridiag_experiment(n=100, out_dir=out_dir)
-        return small, {name: run_toy_experiment(name, out_dir=out_dir)
-                       for name in TOY_RHS}
+    def tridiag():
+        # looked up at the call, so a replacement bound in this module
+        # before the fork runs in the child too; n goes by keyword, which
+        # such a replacement may read
+        return (run_tridiag_experiment(n=1000, out_dir=out_dir),
+                run_tridiag_experiment(n=100, out_dir=out_dir))
 
-    # run_tridiag_experiment is looked up at the call, so a replacement
-    # bound in this module before the fork runs in the child too
-    tridiag_large, (tridiag_small, toys) = _fork_alongside(
-        lambda: run_tridiag_experiment(n=1000, out_dir=out_dir), rest)
+    (tridiag_large, tridiag_small), toys = _fork_alongside(
+        tridiag, lambda: {name: run_toy_experiment(name, out_dir=out_dir)
+                          for name in TOY_RHS})
     criteria = {
         "tridiag_final_error": tridiag_large["final_err_ok"],
         "tridiag_gamma_speedup": tridiag_large["gamma_speedup_ok"],

@@ -38,14 +38,36 @@ def write_json(path, obj) -> None:
         fh.write(text + "\n")
 
 
+# values per chunk: small enough that np.unique's sort stays cheap in memory
+CSV_CHUNK_VALUES = 4096
+
+
 def write_trajectory_csv(path, traj: Trajectory) -> None:
+    """traj as CSV (schema above). The table goes out in chunks of about
+    CSV_CHUNK_VALUES values, and each distinct bit pattern of a chunk is
+    formatted once; a chunk whose values are more than half distinct is
+    formatted row by row instead. Either way the bytes are those of one
+    "%.17g" per value."""
     n = traj.states.shape[1]
+    width = n + 2
     # one % per row; the bytes are those of csv.writer with format(v, ".17g")
-    row = ",".join(["%.17g"] * (n + 2)) + "\r\n"
+    row = ",".join(["%.17g"] * width) + "\r\n"
+    step = max(1, CSV_CHUNK_VALUES // width)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(["t", *(f"x_{i + 1}" for i in range(n)), "residual_norm"]) + "\r\n")
-        for t, x, r in zip(traj.times.tolist(), traj.states, traj.residual_norms.tolist()):
-            fh.write(row % (t, *x.tolist(), r))
+        for k in range(0, len(traj.times), step):
+            chunk = np.column_stack((traj.times[k:k + step], traj.states[k:k + step],
+                                     traj.residual_norms[k:k + step]))
+            # keyed by bit pattern: a float key would merge -0.0 with 0.0
+            bits = chunk.astype(np.float64, copy=False).view(np.int64).ravel()
+            keys, inverse = np.unique(bits, return_inverse=True)
+            if 2 * keys.size > bits.size:
+                fh.writelines([row % tuple(r) for r in chunk.tolist()])
+                continue
+            text = ["%.17g" % v for v in keys.view(np.float64).tolist()]
+            words = [text[i] for i in inverse.tolist()]
+            fh.writelines([",".join(words[j:j + width]) + "\r\n"
+                           for j in range(0, len(words), width)])
 
 
 def read_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

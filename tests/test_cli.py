@@ -197,6 +197,15 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
 
+    def test_a_count_past_the_c_long_range_exits_1(self, tmp_path, capsys):
+        code = main(["solve", "--builtin", "tridiag", "--n", "1" + "0" * 400,
+                     "--gamma", "1", "--tspan", "0,1",
+                     "--out", str(tmp_path / "t.csv"), "--report", str(tmp_path / "r.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "too large" in err and err.count("\n") == 1
+        assert not (tmp_path / "t.csv").exists()
+
     def test_nonsymmetric_tridiag_past_the_dense_limit_exits_1(self, tmp_path, capsys):
         # its certificate would take a dense SVD of a 2002 x 2002 matrix
         problem = tmp_path / "p.json"
@@ -539,6 +548,26 @@ class TestSuite:
         with pytest.raises(ValueError, match="n = 1000 failed"):
             experiments.run_paper_suite(str(tmp_path))
         assert_no_child_left()
+
+    def test_small_tridiag_failure_in_the_child_propagates(self, tmp_path, monkeypatch):
+        import socave.experiments as experiments
+
+        original = experiments.run_tridiag_experiment
+        parent = os.getpid()
+
+        def failing(n, **kwargs):
+            if n == 100:
+                where = "here" if os.getpid() == parent else "the child"
+                raise ValueError(f"n = 100 failed in {where}")
+            return original(n=n, **kwargs)
+
+        # bound before the fork, so the child runs it too
+        monkeypatch.setattr(experiments, "run_tridiag_experiment", failing)
+        with pytest.raises(ValueError, match="n = 100 failed in the child"):
+            experiments.run_paper_suite(str(tmp_path))
+        assert_no_child_left()
+        # the n = 1000 experiment ran before it and wrote its CSVs
+        assert (tmp_path / "tridiag_n1000_gamma200.csv").exists()
 
 
 # for each flag: the values used when it is not at fault (None leaves it

@@ -5,14 +5,16 @@ Subcommands:
   verify  -- test a candidate solution via the residual
   suite   -- reproduce the reference experiment suite
 
-Exit codes: 0 success, 1 malformed input, 2 non-convergence / failed
-suite criterion, 3 verification failure.
+Exit codes: 0 success, 1 malformed input or an output that cannot be
+written, 2 non-convergence / failed suite criterion, 3 verification failure.
+main is the one error boundary: a bad input, or an output that cannot be
+created or written (in either process of the suite), is one "error:" line on
+stderr and exit 1; any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import math
 import os
 import sys
@@ -33,16 +35,12 @@ from .problems import TOY_RHS, example_toy, example_tridiag, initial_grid
 from .reporting import read_json, write_json, write_trajectory_csv
 
 
-class InputError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose usage errors are InputErrors: exit 1 with one
+    """An ArgumentParser whose usage errors are ValueErrors: exit 1 with one
     error line, not argparse's usage text and exit 2."""
 
     def error(self, message):
-        raise InputError(message)
+        raise ValueError(message)
 
 
 def float_list(text: str) -> list[float]:
@@ -52,27 +50,15 @@ def float_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",")] if text else []
 
 
-@contextlib.contextmanager
-def _input_errors():
-    """A command's one boundary for its input: a ValueError, TypeError,
-    OSError, MemoryError (an input too large to allocate) or OverflowError
-    (a count past the C long range) raised while reading it becomes an
-    InputError."""
-    try:
-        yield
-    except (ValueError, TypeError, OSError, MemoryError, OverflowError) as e:
-        raise InputError(str(e)) from e
-
-
 def _load_cli_problem(args):
     """(problem, known x_star or None) from --problem or --builtin."""
     if args.n is not None and args.builtin != "tridiag":
-        raise InputError("--n applies only to --builtin tridiag")
+        raise ValueError("--n applies only to --builtin tridiag")
     if args.problem:
         return load_problem(args.problem)
     if args.builtin == "tridiag":
         if args.n is None:
-            raise InputError("--builtin tridiag requires --n")
+            raise ValueError("--builtin tridiag requires --n")
         return example_tridiag(args.n)
     return example_toy(args.builtin), None
 
@@ -98,15 +84,6 @@ def _resolve_starts(spec: str, n: int, x_star) -> np.ndarray:
         raise ValueError(f"bad --x0 {spec!r}: {e}") from e
 
 
-@contextlib.contextmanager
-def _writing(path):
-    """Turn an OSError raised while writing `path` into an InputError."""
-    try:
-        yield
-    except OSError as e:
-        raise InputError(f"cannot write {path}: {e.strerror or e}") from e
-
-
 def _finite_or_none(v: float) -> float | None:
     """v, or None (JSON null) when it is not finite: RFC 8259 JSON has no
     inf or nan."""
@@ -123,19 +100,18 @@ def _indexed_path(path: str, idx: int, total: int) -> str:
 # a residual of finite inputs can overflow: it is reported, not warned about
 @np.errstate(over="ignore", invalid="ignore")
 def cmd_solve(args) -> int:
-    with _input_errors():
-        p, x_star = _load_cli_problem(args)
-        tspan = as_tspan(args.tspan)
-        starts = _resolve_starts(args.x0, p.n, x_star)
-        cfg = DynamicsConfig(args.gamma)
-        opts = IntegratorOptions(rtol=args.rtol, atol=args.atol,
-                                 stop_on_residual=args.stop_residual,
-                                 record_stride=args.record_stride)
-        report_tols = [as_positive(tol, "--time-to-tol") for tol in args.time_to_tol]
-        if report_tols and opts.record_stride != 1:
-            # time_to_tolerance sees only the recorded rows
-            raise InputError("--time-to-tol needs --record-stride 1")
-        cert = solvability_certificate(p)  # a size limit raises ValueError
+    p, x_star = _load_cli_problem(args)
+    tspan = as_tspan(args.tspan)
+    starts = _resolve_starts(args.x0, p.n, x_star)
+    cfg = DynamicsConfig(args.gamma)
+    opts = IntegratorOptions(rtol=args.rtol, atol=args.atol,
+                             stop_on_residual=args.stop_residual,
+                             record_stride=args.record_stride)
+    report_tols = [as_positive(tol, "--time-to-tol") for tol in args.time_to_tol]
+    if report_tols and opts.record_stride != 1:
+        # time_to_tolerance sees only the recorded rows
+        raise ValueError("--time-to-tol needs --record-stride 1")
+    cert = solvability_certificate(p)  # a size limit raises ValueError
     name = p.name or (args.problem or args.builtin)
 
     reports = []
@@ -166,13 +142,10 @@ def cmd_solve(args) -> int:
         })
         lines.append(f"{name}: termination={traj.termination.value} "
                      f"final_residual={rnorm:.3e}")
-        out = _indexed_path(args.out, i, len(starts))
-        with _writing(out):
-            write_trajectory_csv(out, traj)
+        write_trajectory_csv(_indexed_path(args.out, i, len(starts)), traj)
         ok = ok and traj.termination in (Termination.REACHED_TF, Termination.RESIDUAL_EVENT)
 
-    with _writing(args.report):
-        write_json(args.report, reports[0] if len(reports) == 1 else reports)
+    write_json(args.report, reports[0] if len(reports) == 1 else reports)
     for line in lines:
         print(line)
     return 0 if ok else 2
@@ -180,10 +153,9 @@ def cmd_solve(args) -> int:
 
 @np.errstate(over="ignore", invalid="ignore")
 def cmd_verify(args) -> int:
-    with _input_errors():
-        p, _ = _load_cli_problem(args)
-        x = _load_vector_file(args.x, p.n)
-        tol = as_positive(args.tol, "tol")
+    p, _ = _load_cli_problem(args)
+    x = _load_vector_file(args.x, p.n)
+    tol = as_positive(args.tol, "tol")
     r_direct = residual(p, x)
     r_proj = residual_projection_form(p, x)
     rnorm = float(np.linalg.norm(r_direct))
@@ -200,14 +172,12 @@ def cmd_verify(args) -> int:
 def cmd_suite(args) -> int:
     from .experiments import run_paper_suite
 
-    with _writing(args.out_dir):
-        os.makedirs(args.out_dir, exist_ok=True)
+    os.makedirs(args.out_dir, exist_ok=True)
     if not os.access(args.out_dir, os.W_OK | os.X_OK):
-        raise InputError(f"cannot write {args.out_dir}: directory is not writable")
+        raise ValueError(f"cannot write {args.out_dir}: directory is not writable")
     summary = run_paper_suite(out_dir=args.out_dir)
     path = os.path.join(args.out_dir, "summary.json")
-    with _writing(path):
-        write_json(path, summary)
+    write_json(path, summary)
     for name, passed in summary["criteria"].items():
         print(f"{'PASS' if passed else 'FAIL'}  {name}")
     print(f"summary written to {path}")
@@ -264,10 +234,16 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except InputError as e:
-        # one line whatever the message holds, e.g. an argument with a newline
-        print("error:", " ".join(str(e).splitlines()), file=sys.stderr)
-        return 1
+    except OSError as e:
+        # every read goes through read_json, which makes its OSError a
+        # ValueError, so this is an output not created or written (in either
+        # process of the suite), or one without a file, say a failed fork
+        message = str(e) if e.filename is None else f"cannot write {e.filename}: {e.strerror}"
+    except (ValueError, TypeError, OverflowError, MemoryError) as e:
+        message = str(e)
+    # one line whatever the message holds, e.g. an argument with a newline
+    print("error:", " ".join(message.splitlines()), file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

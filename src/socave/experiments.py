@@ -18,6 +18,9 @@ from .model import AveProblem
 from .problems import TOY_RHS, example_toy, example_tridiag, initial_grid
 from .reporting import write_trajectory_csv
 
+TRIDIAG_GAMMAS = (50.0, 100.0, 200.0)
+TRIDIAG_TSPAN = (0.0, 0.1)
+TRIDIAG_ERR_TOL = 1e-4
 TOY_GAMMA = 2.0
 TOY_TSPANS = {"multi": (0.0, 5.0), "unique": (0.0, 5.0), "none": (0.0, 10.0)}
 TOY_GRID_POINTS = {"multi": 7, "unique": 8, "none": 8}
@@ -57,21 +60,20 @@ def _maybe_write(out_dir, name, traj):
         write_trajectory_csv(os.path.join(out_dir, name), traj)
 
 
-def run_tridiag_experiment(n: int = 1000, gammas=(50.0, 100.0, 200.0),
-                           tspan=(0.0, 0.1), err_tol: float = 1e-4,
-                           out_dir=None) -> dict:
-    """Large tridiagonal instance from the zero start: convergence to the
-    known solution and the speed-up from larger gamma."""
+def run_tridiag_experiment(n: int, out_dir=None) -> dict:
+    """Tridiagonal instance of dimension n from the zero start, at each of
+    TRIDIAG_GAMMAS over TRIDIAG_TSPAN: convergence to the known solution
+    and the speed-up from larger gamma."""
     p, x_star = example_tridiag(n)
     opts = IntegratorOptions()
     runs = []
-    for gamma in gammas:
-        traj = integrate(p, DynamicsConfig(gamma), np.zeros(n), tspan, opts)
+    for gamma in TRIDIAG_GAMMAS:
+        traj = integrate(p, DynamicsConfig(gamma), np.zeros(n), TRIDIAG_TSPAN, opts)
         runs.append({
             "gamma": gamma,
             "termination": traj.termination.value,
             "final_err_inf": float(np.max(np.abs(traj.final_state - x_star))),
-            "time_to_tol": time_to_tolerance(traj, err_tol),
+            "time_to_tol": time_to_tolerance(traj, TRIDIAG_ERR_TOL),
         })
         _maybe_write(out_dir, f"tridiag_n{n}_gamma{gamma:g}.csv", traj)
     times = [r["time_to_tol"] for r in runs]
@@ -80,7 +82,7 @@ def run_tridiag_experiment(n: int = 1000, gammas=(50.0, 100.0, 200.0),
     return {
         "n": n,
         "runs": runs,
-        "final_err_ok": runs[-1]["final_err_inf"] <= err_tol,
+        "final_err_ok": runs[-1]["final_err_inf"] <= TRIDIAG_ERR_TOL,
         "gamma_speedup_ok": monotone,
     }
 

@@ -44,8 +44,7 @@ def random_structure(rng, max_dim, min_first_block=1):
 
 def test_criterion_01_tridiag_reproduction():
     t_start = time.perf_counter()
-    out = run_tridiag_experiment(n=1000, gammas=(50.0, 100.0, 200.0),
-                                 tspan=(0.0, 0.1), err_tol=1e-4)
+    out = run_tridiag_experiment(n=1000)
     elapsed = time.perf_counter() - t_start
     times = [r["time_to_tol"] for r in out["runs"]]
     check("criterion 1: tridiag n=1000 final error <= 1e-4",

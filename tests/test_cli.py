@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import os
@@ -568,6 +569,35 @@ class TestSuite:
         assert_no_child_left()
         # the n = 1000 experiment ran before it and wrote its CSVs
         assert (tmp_path / "tridiag_n1000_gamma200.csv").exists()
+
+    # the first is written by this process, the second by the forked child
+    @pytest.mark.parametrize("name", ["toy_multi_00.csv", "tridiag_n1000_gamma50.csv"])
+    def test_an_unwritable_suite_csv_is_one_error_line(self, tmp_path, capsys, name):
+        blocked = tmp_path / name
+        blocked.mkdir()
+        assert main(["suite", "--name", "paper-examples", "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {blocked}: ") and err.count("\n") == 1
+        assert_no_child_left()
+
+    def test_a_failed_fork_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        def no_fork():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert main(["suite", "--name", "paper-examples", "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}\n"
+
+    def test_a_bug_in_the_suite_is_not_an_error_line(self, tmp_path, monkeypatch):
+        import socave.experiments as experiments
+
+        def broken(out_dir=None):
+            raise RuntimeError("a bug")
+
+        monkeypatch.setattr(experiments, "run_paper_suite", broken)
+        with pytest.raises(RuntimeError, match="a bug"):
+            main(["suite", "--name", "paper-examples", "--out-dir", str(tmp_path)])
 
 
 # for each flag: the values used when it is not at fault (None leaves it

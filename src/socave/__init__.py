@@ -11,6 +11,7 @@ from .integrator import (
     Termination,
     Trajectory,
     integrate,
+    integrate_many,
     integrate_ode,
     rk23_step,
     time_to_tolerance,

@@ -39,7 +39,8 @@ def rhs(p: AveProblem, cfg: DynamicsConfig, x: np.ndarray) -> np.ndarray:
 
 def rhs_and_residual(p: AveProblem, cfg: DynamicsConfig,
                      x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rhs(x), r(x)): the field and the residual it was computed from.
+    """(rhs(x), r(x)): the field and the residual it was computed from, of a
+    state x or of each row of a (k, n) batch x.
 
     The integrator's hot path: it records ||r|| of each accepted state from
     the evaluation it already made, so r is never computed twice. x is not

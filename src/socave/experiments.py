@@ -12,8 +12,8 @@ import pickle
 
 import numpy as np
 
-from .dynamics import DynamicsConfig, rhs
-from .integrator import IntegratorOptions, integrate, time_to_tolerance
+from .dynamics import DynamicsConfig, rhs_and_residual
+from .integrator import IntegratorOptions, integrate, integrate_many, time_to_tolerance
 from .model import AveProblem
 from .problems import TOY_RHS, example_toy, example_tridiag, initial_grid
 from .reporting import write_trajectory_csv
@@ -40,19 +40,18 @@ def toy_region(x) -> str:
 def multi_sign_violation(p: AveProblem, cfg: DynamicsConfig, states) -> float:
     """Worst violation of the 'multi' problem's per-region derivative signs.
 
-    At every state: dx2/dt opposes x2; dx1/dt vanishes in region (a) and is
-    nonnegative in regions (b), (c). Returns the largest amount by which
-    any of these fails (0 for a clean trajectory).
+    At every state (a row of states): dx2/dt opposes x2; dx1/dt vanishes in
+    region (a) and is nonnegative in regions (b), (c). Returns the largest
+    amount by which any of these fails (0 for a clean trajectory); a nan
+    amount is not a failure.
     """
-    worst = 0.0
-    for x in states:
-        v = rhs(p, cfg, x)
-        worst = max(worst, float(x[1]) * float(v[1]))  # opposite signs => <= 0
-        if toy_region(x) == "a":
-            worst = max(worst, abs(float(v[0])))
-        else:
-            worst = max(worst, -float(v[0]))
-    return worst
+    x = np.asarray(states, dtype=float)
+    v = rhs_and_residual(p, cfg, x)[0]
+    in_a = x[:, 0] >= np.abs(x[:, 1])  # toy_region(x) == "a", row by row
+    terms = np.concatenate((x[:, 1] * v[:, 1],  # opposite signs => <= 0
+                            np.where(in_a, np.abs(v[:, 0]), -v[:, 0])))
+    # only a term > 0 can raise the worst from 0, and a nan is never > 0
+    return float(np.max(terms, initial=0.0, where=terms > 0))
 
 
 def _maybe_write(out_dir, name, traj):
@@ -94,10 +93,9 @@ def run_toy_experiment(name: str, out_dir=None) -> dict:
     tspan = TOY_TSPANS[name]
     center = np.array([0.0, 1.0]) if name == "unique" else np.zeros(2)
     starts = initial_grid(center, TOY_GRID_POINTS[name])
-    opts = IntegratorOptions()
+    trajs = integrate_many(p, cfg, starts, tspan, IntegratorOptions())
     runs = []
-    for j, x0 in enumerate(starts):
-        traj = integrate(p, cfg, x0, tspan, opts)
+    for j, (x0, traj) in enumerate(zip(starts, trajs)):
         xf = traj.final_state
         run = {
             "x0": x0.tolist(),
@@ -136,7 +134,12 @@ def _fork_alongside(child, here):
     gives a RuntimeError.
     """
     r, w = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
     if pid == 0:
         status = 1
         try:
@@ -170,25 +173,24 @@ def _fork_alongside(child, here):
 def run_paper_suite(out_dir=None) -> dict:
     """Full reference-experiment suite; returns summary with per-criterion flags.
 
-    The tridiagonal experiments are independent of the toys, so a child
-    forked first runs them, n = 1000 and then n = 100, and writes their
-    CSVs, while this process runs the toys; only their result dicts come
-    back. The outputs are those of a serial run. A failure in the child is
-    raised here.
+    The experiments are independent of each other, so a child forked first
+    runs the n = 1000 tridiagonal one and writes its CSVs, while this
+    process runs n = 100 and then the toys; only the child's result dict
+    comes back. The outputs are those of a serial run. A failure in the
+    child is raised here.
     """
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
 
-    def tridiag():
-        # looked up at the call, so a replacement bound in this module
-        # before the fork runs in the child too; n goes by keyword, which
-        # such a replacement may read
-        return (run_tridiag_experiment(n=1000, out_dir=out_dir),
-                run_tridiag_experiment(n=100, out_dir=out_dir))
+    # run_tridiag_experiment is looked up at each call, so a replacement
+    # bound in this module before the fork runs in both processes; n goes by
+    # keyword, which such a replacement may read
+    def here():
+        small = run_tridiag_experiment(n=100, out_dir=out_dir)
+        return small, {name: run_toy_experiment(name, out_dir=out_dir) for name in TOY_RHS}
 
-    (tridiag_large, tridiag_small), toys = _fork_alongside(
-        tridiag, lambda: {name: run_toy_experiment(name, out_dir=out_dir)
-                          for name in TOY_RHS})
+    tridiag_large, (tridiag_small, toys) = _fork_alongside(
+        lambda: run_tridiag_experiment(n=1000, out_dir=out_dir), here)
     criteria = {
         "tridiag_final_error": tridiag_large["final_err_ok"],
         "tridiag_gamma_speedup": tridiag_large["gamma_speedup_ok"],

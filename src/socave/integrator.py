@@ -74,6 +74,9 @@ def rk23_step(field, t, x, h, rtol, atol, k1):
     """One Bogacki-Shampine step for a field(t, x) -> (dx/dt, aux), with
     k1 = field(t, x)[0] and x finite: (x_high, err, k4, aux4).
 
+    x is a state, or a (k, n) batch of states with t and h floats or (k, 1)
+    columns. The arithmetic is elementwise, so each row takes the IEEE
+    operations of a step from that row alone, and err has one entry per row.
     err is the infinity norm of (x_high - x_low) divided componentwise by
     atol + rtol * max(|x|, |x_high|), and inf after a non-finite stage, so
     the caller rejects the step. The pair is FSAL: k4, aux4 = field(t + h,
@@ -82,16 +85,33 @@ def rk23_step(field, t, x, h, rtol, atol, k1):
     """
     k2 = field(t + 0.5 * h, x + (0.5 * h) * k1)[0]
     k3 = field(t + 0.75 * h, x + (0.75 * h) * k2)[0]
+    # x_high = x + h * ((2 k1 + 3 k2 + 4 k3) / 9), and below
+    # err_vec = (h / 72) * (-5 k1 + 6 k2 + 8 k3 - 9 k4) and
+    # scale = atol + rtol * max(|x|, |x_high|): each is accumulated in place,
+    # operation by operation as written, so with fewer temporaries. The
     # integer-weight forms keep the estimate exactly zero when all stages agree
-    x_high = x + h * ((2.0 * k1 + 3.0 * k2 + 4.0 * k3) / 9.0)
+    x_high = 2.0 * k1
+    x_high += 3.0 * k2
+    x_high += 4.0 * k3
+    x_high /= 9.0
+    x_high *= h
+    x_high += x
     k4, aux4 = field(t + h, x_high)
-    err_vec = (h / 72.0) * (-5.0 * k1 + 6.0 * k2 + 8.0 * k3 - 9.0 * k4)
-    scale = atol + rtol * np.maximum(np.abs(x), np.abs(x_high))
-    err = float(np.max(np.abs(err_vec) / scale)) if x.size else 0.0
-    # inf and nan in err_vec survive the division by scale > 0 and np.max,
-    # so these are the steps that separate tests of x_high and err_vec reject
-    if not (math.isfinite(err) and np.isfinite(x_high).all()):
-        return x_high, math.inf, k4, aux4
+    err_vec = -5.0 * k1
+    err_vec += 6.0 * k2
+    err_vec += 8.0 * k3
+    err_vec -= 9.0 * k4
+    err_vec *= h / 72.0
+    scale = np.maximum(np.abs(x), np.abs(x_high))
+    scale *= rtol
+    scale += atol
+    # x_high - x_high is 0 where x_high is finite and nan elsewhere. That nan,
+    # and an inf or nan from a non-finite stage, survive the division by
+    # scale > 0 and the max, and fmin makes a nan inf
+    ratio = np.abs(err_vec)
+    ratio /= scale
+    ratio += x_high - x_high
+    err = np.fmin(np.maximum.reduce(ratio, axis=-1, initial=0.0), math.inf)
     return x_high, err, k4, aux4
 
 
@@ -109,98 +129,156 @@ def integrate_ode(f, x0, tspan, opts: IntegratorOptions = IntegratorOptions()) -
     """
     x0 = as_vector(x0)
 
-    def field(t, x):
-        v = f(t, x)
+    def field(t, x):  # x is a batch of one row; f sees it as a vector
+        v = f(t, x[0])[None]
         return v, v
 
-    return _integrate(field, x0, tspan, opts)
+    return _integrate(field, x0[None], tspan, opts)[0]
+
+
+class _Run:
+    """The state of one row of the step loop, and what it records."""
+
+    __slots__ = ("t", "h", "x", "rnorm", "times", "states", "res_norms", "n_accepted",
+                 "n_rejected", "n_rejected_nonfinite", "termination")
+
+    def __init__(self, t, h, x, rnorm):
+        self.t, self.h, self.x, self.rnorm = t, h, x, rnorm
+        self.times, self.states, self.res_norms = [t], [x], [rnorm]
+        self.n_accepted = self.n_rejected = self.n_rejected_nonfinite = 0
+        self.termination = None
+
+    def trajectory(self, record_stride: int) -> Trajectory:
+        if self.n_accepted % record_stride:  # the last accepted state, if not yet recorded
+            self.times.append(self.t)
+            self.states.append(self.x)
+            self.res_norms.append(self.rnorm)
+        return Trajectory(
+            times=np.asarray(self.times),
+            states=np.asarray(self.states),
+            residual_norms=np.asarray(self.res_norms),
+            termination=self.termination,
+            n_accepted=self.n_accepted,
+            n_rejected=self.n_rejected,
+            n_rejected_nonfinite=self.n_rejected_nonfinite,
+        )
+
+
+def _running(runs: list[_Run], *rows: np.ndarray):
+    """The runs not yet terminated, and the matching rows of each array."""
+    keep = [i for i, run in enumerate(runs) if run.termination is None]
+    return [runs[i] for i in keep], *(a[keep] for a in rows)
 
 
 # non-finite values are not errors here, from x0 on: a non-finite stage is
 # a rejected step
 @np.errstate(over="ignore", invalid="ignore")
-def _integrate(field, x0, tspan, opts: IntegratorOptions) -> Trajectory:
-    """The step loop of integrate_ode for a field(t, x) -> (dx/dt, aux).
+def _integrate(field, x0: np.ndarray, tspan, opts: IntegratorOptions) -> list[Trajectory]:
+    """The step loop: one trajectory per row of the (k, n) batch x0, for a
+    field(t, x) -> (dx/dt, aux) of a batch x.
 
-    The recorded norm is ||aux|| of the evaluation at the recorded state.
-    The field runs 1 + 3 * (accepted + rejected) times.
+    The rows still running are stepped together, but each has its own t,
+    step size, error test, counters, records and termination, and leaves the
+    batch when it terminates: each trajectory is the one its row gives as a
+    batch of one. t and h go to rk23_step as floats for one row, whose
+    scalar arithmetic is cheaper, and as (k, 1) columns for more. The
+    recorded norm is ||aux|| of the evaluation
+    at the recorded state. The field runs once on x0, then three times per
+    attempt on the rows still running.
     """
     t0, tf = as_tspan(tspan)
     x = np.array(x0, dtype=float)
-
-    h = max(0.01 * (tf - t0), H_MIN)
     fx, aux = field(t0, x)
-    t = t0
-    rnorm = math.sqrt(aux.dot(aux))  # np.linalg.norm's arithmetic
-    # states are never mutated: x is rebound to a fresh x_high on each step
-    times = [t0]
-    states = [x]
-    res_norms = [rnorm]
-    n_accepted = 0
-    n_rejected = 0
-    n_rejected_nonfinite = 0
-    termination = None
+    h0 = max(0.01 * (tf - t0), H_MIN)
+    near_tf = 1e-13 * (tf - t0)
+    stop, stride = opts.stop_on_residual, opts.record_stride
+    # states are never mutated: they are rows of x0 or of the x_high of a
+    # step, which the loop makes afresh and never writes to. A recorded row
+    # keeps its whole batch array alive until the trajectories are built
+    runs = [_Run(t0, h0, row, math.sqrt(a.dot(a)))  # np.linalg.norm's arithmetic
+            for row, a in zip(x, aux)]
+    for run in runs:
+        if stop is not None and run.rnorm <= stop:
+            run.termination = Termination.RESIDUAL_EVENT
+    live, x, fx = _running(runs, x, fx)
 
-    if opts.stop_on_residual is not None and rnorm <= opts.stop_on_residual:
-        termination = Termination.RESIDUAL_EVENT
-
-    while termination is None:
-        if n_accepted + n_rejected >= opts.max_steps:
-            termination = Termination.MAX_STEPS
+    attempts = 0  # the same for every row still running
+    while live:
+        if attempts >= opts.max_steps:
+            for run in live:
+                run.termination = Termination.MAX_STEPS
             break
-        h_trial = min(h, tf - t)
-        x_new, err, k4, aux4 = rk23_step(field, t, x, h_trial, opts.rtol, opts.atol, fx)
-        if err <= 1.0:
-            t = t + h_trial
-            x, fx = x_new, k4
-            n_accepted += 1
-            rnorm = math.sqrt(aux4.dot(aux4))
-            event = (opts.stop_on_residual is not None
-                     and rnorm <= opts.stop_on_residual)
-            # robust endpoint test: floating accumulation can leave t a few
-            # ulps short of tf after the final truncated step
-            done = (tf - t) <= 1e-13 * (tf - t0)
-            if event:
-                termination = Termination.RESIDUAL_EVENT
-            elif done:
-                termination = Termination.REACHED_TF
-            if n_accepted % opts.record_stride == 0:
-                times.append(t)
-                states.append(x)
-                res_norms.append(rnorm)
+        attempts += 1
+        h_trials = [min(run.h, tf - run.t) for run in live]
+        if len(live) == 1:
+            t, h = live[0].t, h_trials[0]
         else:
-            n_rejected += 1
-            if err == math.inf:
-                n_rejected_nonfinite += 1
-        h = h_trial * _step_factor(err)
-        if termination is None and h < H_MIN:
-            termination = Termination.STEP_UNDERFLOW
+            t = np.array([[run.t] for run in live])
+            h = np.array(h_trials)[:, None]
+        x_new, err, k4, aux4 = rk23_step(field, t, x, h, opts.rtol, opts.atol, fx)
+        errs = err.tolist()
+        n_took = 0
+        ended = False
+        for i, run in enumerate(live):
+            e, h_trial = errs[i], h_trials[i]
+            if e <= 1.0:
+                n_took += 1
+                run.t = t_new = run.t + h_trial
+                run.x = x_new[i]
+                run.n_accepted += 1
+                a = aux4[i]
+                run.rnorm = rnorm = math.sqrt(a.dot(a))
+                # robust endpoint test: floating accumulation can leave t a few
+                # ulps short of tf after the final truncated step
+                if stop is not None and rnorm <= stop:
+                    run.termination = Termination.RESIDUAL_EVENT
+                elif (tf - t_new) <= near_tf:
+                    run.termination = Termination.REACHED_TF
+                if run.n_accepted % stride == 0:
+                    run.times.append(t_new)
+                    run.states.append(run.x)
+                    run.res_norms.append(rnorm)
+            else:
+                run.n_rejected += 1
+                if e == math.inf:
+                    run.n_rejected_nonfinite += 1
+            run.h = h_trial * _step_factor(e)
+            if run.termination is None and run.h < H_MIN:
+                run.termination = Termination.STEP_UNDERFLOW
+            ended = ended or run.termination is not None
+        if n_took == len(live):
+            x, fx = x_new, k4
+        elif n_took:
+            took = (err <= 1.0)[:, None]
+            x, fx = np.where(took, x_new, x), np.where(took, k4, fx)
+        if ended:
+            live, x, fx = _running(live, x, fx)
 
-    if n_accepted % opts.record_stride:  # the last accepted state, if not yet recorded
-        times.append(t)
-        states.append(x)
-        res_norms.append(rnorm)
+    return [run.trajectory(stride) for run in runs]
 
-    return Trajectory(
-        times=np.asarray(times),
-        states=np.asarray(states),
-        residual_norms=np.asarray(res_norms),
-        termination=termination,
-        n_accepted=n_accepted,
-        n_rejected=n_rejected,
-        n_rejected_nonfinite=n_rejected_nonfinite,
-    )
+
+def integrate_many(p: AveProblem, cfg: DynamicsConfig, starts, tspan,
+                   opts: IntegratorOptions = IntegratorOptions()) -> list[Trajectory]:
+    """integrate from each of starts, stepped as one batch: one trajectory
+    per start, each bit-identical to integrate from that start.
+
+    Each start is validated here, once; the stages are not (see
+    rhs_and_residual).
+    """
+    x0 = [as_vector(x, p.n) for x in starts]
+    if not x0:
+        raise ValueError("integrate_many needs at least one start")
+    return _integrate(lambda t, x: rhs_and_residual(p, cfg, x), np.array(x0), tspan, opts)
 
 
 def integrate(p: AveProblem, cfg: DynamicsConfig, x0, tspan,
               opts: IntegratorOptions = IntegratorOptions()) -> Trajectory:
-    """Integrate the projection dynamical system for a SOCAVE problem.
+    """Integrate the projection dynamical system for a SOCAVE problem: a
+    batch of one start (see integrate_many).
 
-    x0 is validated here, once; the stages are not (see rhs_and_residual).
     The recorded residual norms come from the field evaluations themselves.
     """
-    x0 = as_vector(x0, p.n)
-    return _integrate(lambda t, x: rhs_and_residual(p, cfg, x), x0, tspan, opts)
+    return integrate_many(p, cfg, [x0], tspan, opts)[0]
 
 
 def time_to_tolerance(traj: Trajectory, tol: float) -> float | None:

@@ -99,7 +99,8 @@ def as_tspan(tspan) -> tuple[float, float]:
 
 
 class DenseOperator:
-    """A stored matrix; matvec and rmatvec are A @ x and A.T @ x."""
+    """A stored matrix; matvec and rmatvec are A @ x and A.T @ x, of a vector
+    x or of each row of a (k, n) batch x."""
 
     def __init__(self, A):
         A = as_array(A, 2, "A entries").copy()  # a copy: the caller's array stays writable
@@ -115,11 +116,13 @@ class DenseOperator:
         """Number of stored entries."""
         return self.array.size
 
+    # a stack of (n, 1) columns: one gemv per row, as A @ row takes, where
+    # x @ A.T would be one gemm that sums in another order
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.array @ x
+        return np.matmul(self.array, x[..., None])[..., 0]
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        return self.array.T @ x
+        return np.matmul(self.array.T, x[..., None])[..., 0]
 
     def to_dense(self) -> np.ndarray:
         return self.array
@@ -129,6 +132,17 @@ class DenseOperator:
 
     def norm(self) -> float:
         return float(np.linalg.svd(self.array, compute_uv=False)[0])
+
+
+def _correlate_rows(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Entries 1..n of the full correlation with kernel (of length 3) of a
+    vector x, or of each row of a (k, n) batch x. A batch of one row is a
+    view of its one correlation, with no copy."""
+    if x.ndim == 1:
+        return np.correlate(x, kernel, "full")[1:-1]
+    if len(x) == 1:
+        return np.correlate(x[0], kernel, "full")[None, 1:-1]
+    return np.stack([np.correlate(row, kernel, "full")[1:-1] for row in x])
 
 
 @dataclass(frozen=True)
@@ -145,9 +159,9 @@ class TridiagToeplitz:
         object.__setattr__(self, "n", as_count(self.n, "n"))
         for name in ("sub", "diag", "sup"):
             object.__setattr__(self, name, as_finite(getattr(self, name), f"tridiag {name}"))
-        # the convolution kernels of matvec and rmatvec, built once
-        object.__setattr__(self, "_kernel", np.array([self.sup, self.diag, self.sub]))
-        object.__setattr__(self, "_rkernel", np.array([self.sub, self.diag, self.sup]))
+        # the correlation kernels of matvec and rmatvec, built once
+        object.__setattr__(self, "_kernel", np.array([self.sub, self.diag, self.sup]))
+        object.__setattr__(self, "_rkernel", np.array([self.sup, self.diag, self.sub]))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -159,14 +173,15 @@ class TridiagToeplitz:
         return 3 * self.n - 2
 
     # (A x)[i] = sub*x[i-1] + diag*x[i] + sup*x[i+1] is entry i + 1 of the
-    # full convolution of x with (sup, diag, sub); A^T swaps sub and sup.
+    # full correlation of x with (sub, diag, sup); A^T swaps sub and sup.
     # One pass into one array, where three shifted vector ops would also
-    # allocate two temporaries
+    # allocate two temporaries. np.convolve with the reversed kernel does
+    # the same arithmetic through a slower wrapper
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        return np.convolve(x, self._kernel)[1:-1]
+        return _correlate_rows(x, self._kernel)
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        return np.convolve(x, self._rkernel)[1:-1]
+        return _correlate_rows(x, self._rkernel)
 
     def to_dense(self) -> np.ndarray:
         A = np.zeros((self.n, self.n))

@@ -68,9 +68,11 @@ def residual(p: AveProblem, x) -> np.ndarray:
 
 def residual_kernel(p: AveProblem, x: np.ndarray) -> np.ndarray:
     """residual without input validation, for the integrator's hot path: x
-    must be a float vector of dimension p.n; non-finite entries give a
-    non-finite residual instead of an error."""
-    return p.A.matvec(x) - abs_kernel(x, p.cone) - p.b
+    must be a float vector of dimension p.n, or a (k, p.n) batch of them, one
+    per row; non-finite entries give a non-finite residual instead of an
+    error."""
+    # b as a row: numpy's fast same-shape loop for a batch of one row
+    return p.A.matvec(x) - abs_kernel(x, p.cone) - (p.b if x.ndim == 1 else p.b[None])
 
 
 def qf_maps(p: AveProblem, x) -> tuple[np.ndarray, np.ndarray]:

@@ -65,9 +65,8 @@ def write_trajectory_csv(path, traj: Trajectory) -> None:
                 fh.writelines([row % tuple(r) for r in chunk.tolist()])
                 continue
             text = ["%.17g" % v for v in keys.view(np.float64).tolist()]
-            words = [text[i] for i in inverse.tolist()]
-            fh.writelines([",".join(words[j:j + width]) + "\r\n"
-                           for j in range(0, len(words), width)])
+            words = np.asarray(text, dtype=object)[inverse].reshape(-1, width).tolist()
+            fh.writelines([",".join(r) + "\r\n" for r in words])
 
 
 def read_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -120,9 +120,20 @@ def soc_abs(x, cone: ConeStructure) -> np.ndarray:
 
 def abs_kernel(x: np.ndarray, cone: ConeStructure) -> np.ndarray:
     """soc_abs without input validation, for the integrator's hot path: x
-    must be a float vector of dimension cone.dim; non-finite entries give
+    must be a float vector of dimension cone.dim, or a (k, cone.dim) batch
+    of them whose rows are taken one by one; non-finite entries give
     non-finite output instead of an error."""
     out = np.empty_like(x)
+    if x.ndim == 1:
+        _abs_into(x, cone, out)
+    else:
+        for j in range(len(x)):
+            _abs_into(x[j], cone, out[j])
+    return out
+
+
+def _abs_into(x: np.ndarray, cone: ConeStructure, out: np.ndarray) -> None:
+    """abs_kernel of the vector x, written into out."""
     for i, tail in cone._parts:
         x1, s, xt = _split(x, i, tail)
         # a Python float head: faster scalar arithmetic than a numpy scalar
@@ -136,7 +147,6 @@ def abs_kernel(x: np.ndarray, cone: ConeStructure) -> np.ndarray:
             hi = abs(x1 + s)
             out[i] = 0.5 * (lo + hi)
             np.multiply(0.5 * (hi - lo) / s, xt, out=out[tail])
-    return out
 
 
 def project_cone(x, cone: ConeStructure) -> np.ndarray:

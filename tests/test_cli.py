@@ -550,7 +550,7 @@ class TestSuite:
             experiments.run_paper_suite(str(tmp_path))
         assert_no_child_left()
 
-    def test_small_tridiag_failure_in_the_child_propagates(self, tmp_path, monkeypatch):
+    def test_small_tridiag_failure_here_propagates(self, tmp_path, monkeypatch):
         import socave.experiments as experiments
 
         original = experiments.run_tridiag_experiment
@@ -564,11 +564,13 @@ class TestSuite:
 
         # bound before the fork, so the child runs it too
         monkeypatch.setattr(experiments, "run_tridiag_experiment", failing)
-        with pytest.raises(ValueError, match="n = 100 failed in the child"):
+        with pytest.raises(ValueError, match="n = 100 failed in here"):
             experiments.run_paper_suite(str(tmp_path))
         assert_no_child_left()
-        # the n = 1000 experiment ran before it and wrote its CSVs
-        assert (tmp_path / "tridiag_n1000_gamma200.csv").exists()
+        # the child ran n = 1000 alone, to the end, and wrote its CSVs
+        for gamma in (50, 100, 200):
+            assert (tmp_path / f"tridiag_n1000_gamma{gamma}.csv").exists()
+        assert not list(tmp_path.glob("toy_*.csv"))
 
     # the first is written by this process, the second by the forked child
     @pytest.mark.parametrize("name", ["toy_multi_00.csv", "tridiag_n1000_gamma50.csv"])
@@ -588,6 +590,16 @@ class TestSuite:
         assert main(["suite", "--name", "paper-examples", "--out-dir", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err == f"error: [Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}\n"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_a_failed_fork_leaves_no_descriptor_open(self, tmp_path, monkeypatch):
+        def no_fork():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        before = len(os.listdir("/proc/self/fd"))
+        assert main(["suite", "--name", "paper-examples", "--out-dir", str(tmp_path)]) == 1
+        assert len(os.listdir("/proc/self/fd")) == before
 
     def test_a_bug_in_the_suite_is_not_an_error_line(self, tmp_path, monkeypatch):
         import socave.experiments as experiments

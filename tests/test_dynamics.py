@@ -10,9 +10,9 @@ from socave.dynamics import (
     lyapunov_value,
     rhs,
 )
-from socave.experiments import toy_region
+from socave.experiments import multi_sign_violation, toy_region
 from socave.model import AveProblem, residual
-from socave.problems import example_toy, example_tridiag
+from socave.problems import example_toy, example_tridiag, initial_grid
 from socave.soc import ConeStructure
 
 GAMMA2 = DynamicsConfig(2.0)
@@ -194,3 +194,43 @@ class TestRegionSignTables:
             vc = rhs(p, GAMMA2, xc)
             assert vc[0] == pytest.approx(g * (1 - 2 * xc[0]), rel=1e-9, abs=1e-10)
             assert vc[1] == pytest.approx(-g, abs=1e-12)
+
+
+def _reference_sign_violation(p, cfg, states):
+    """multi_sign_violation as a running Python max over one rhs call per state."""
+    worst = 0.0
+    for x in states:
+        v = rhs(p, cfg, x)
+        worst = max(worst, float(x[1]) * float(v[1]))
+        if toy_region(x) == "a":
+            worst = max(worst, abs(float(v[0])))
+        else:
+            worst = max(worst, -float(v[0]))
+    return worst
+
+
+class TestMultiSignViolation:
+    """One batched field evaluation over the recorded states gives the
+    running max of one evaluation per state, bit for bit."""
+
+    def test_matches_the_per_state_loop_on_the_suite_grid(self):
+        from socave.integrator import integrate_many
+
+        p = example_toy("multi")
+        for traj in integrate_many(p, GAMMA2, initial_grid(np.zeros(2), 7), (0.0, 5.0)):
+            got = multi_sign_violation(p, GAMMA2, traj.states)
+            assert got == _reference_sign_violation(p, GAMMA2, traj.states)
+
+    @pytest.mark.parametrize("problem", ["multi", "unique", "none"])
+    def test_a_nan_term_never_raises_the_worst(self, problem):
+        p = example_toy(problem)
+        rng = np.random.default_rng(11)
+        states = np.vstack([rng.uniform(-3, 3, (40, 2)), [[np.nan, 1.0], [1.0, np.nan],
+                                                          [-0.0, 0.0], [0.0, -0.0]]])
+        # the last four alone: nan terms and zero fields of either sign
+        for rows in (states, states[-4:]):
+            with np.errstate(invalid="ignore"):
+                got = multi_sign_violation(p, GAMMA2, rows)
+                expected = _reference_sign_violation(p, GAMMA2, rows)
+            assert not math.isnan(got)
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes()

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import socave.dynamics
 import socave.integrator
@@ -12,6 +14,7 @@ from socave.integrator import (
     IntegratorOptions,
     Termination,
     integrate,
+    integrate_many,
     integrate_ode,
     rk23_step,
     time_to_tolerance,
@@ -452,3 +455,90 @@ class TestFsalStepLoop:
                 traj = integrate(p, DynamicsConfig(1e100), [1.0, 0.0], (0.0, 1.0))
             assert traj.n_rejected > 0
         assert len(calls) == traj.n_rhs_evals == 1 + 3 * (traj.n_accepted + traj.n_rejected)
+
+
+def _assert_same_trajectory(got, expected):
+    for name in ("times", "states", "residual_norms"):
+        assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+    for name in ("termination", "n_accepted", "n_rejected", "n_rejected_nonfinite"):
+        assert getattr(got, name) == getattr(expected, name), name
+
+
+# a start this large makes the stages of the first steps overflow at gamma = 1e4
+OVERFLOWING_START = 1e300
+
+
+class TestIntegrateMany:
+    """Each row of a batch has its own step size, error test, counters,
+    records and termination, so it is the run from that start alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_each_row_is_the_single_start_run(self, data):
+        blocks = ConeStructure(tuple(data.draw(st.lists(st.integers(1, 5), min_size=1,
+                                                        max_size=4))))
+        p, x_star = random_unique(blocks.dim, blocks, 0.5, data.draw(st.integers(1, 10**6)))
+        entry = st.floats(-5.0, 5.0, allow_subnormal=False)
+        starts = [np.array(data.draw(st.lists(entry, min_size=p.n, max_size=p.n)))
+                  for _ in range(data.draw(st.integers(1, 5)))]
+        # the solution itself ends on the residual event before any step, and
+        # the overflowing start rejects non-finite steps while the others accept
+        extra = data.draw(st.sampled_from([None, x_star, np.full(p.n, OVERFLOWING_START)]))
+        if extra is not None:
+            starts.insert(data.draw(st.integers(0, len(starts))), extra)
+        gamma = data.draw(st.sampled_from([1.0, 1e4]))
+        tspan = (0.0, data.draw(st.sampled_from([0.2, 1.0, 5.0])))
+        opts = IntegratorOptions(stop_on_residual=data.draw(st.sampled_from([None, 1e-2, 1.0])),
+                                 record_stride=data.draw(st.integers(1, 4)),
+                                 max_steps=data.draw(st.integers(1, 60)))
+        cfg = DynamicsConfig(gamma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the batch raises no warning either
+            trajs = integrate_many(p, cfg, starts, tspan, opts)
+        assert len(trajs) == len(starts)
+        for x0, traj in zip(starts, trajs):
+            _assert_same_trajectory(traj, integrate(p, cfg, x0, tspan, opts))
+
+    def test_an_overflowing_row_leaves_the_others_alone(self):
+        cone = ConeStructure((1, 2, 3))
+        p, x_star = random_unique(cone.dim, cone, 0.5, 7)
+        starts = [np.ones(p.n), np.full(p.n, OVERFLOWING_START), -np.ones(p.n), x_star]
+        cfg, tspan = DynamicsConfig(1e4), (0.0, 1e-3)
+        opts = IntegratorOptions(stop_on_residual=1e-8, record_stride=3)
+        trajs = integrate_many(p, cfg, starts, tspan, opts)
+        for x0, traj in zip(starts, trajs):
+            _assert_same_trajectory(traj, integrate(p, cfg, x0, tspan, opts))
+        ones, overflowing, minus_ones, solution = trajs
+        assert overflowing.n_rejected_nonfinite > 0
+        for traj in (ones, minus_ones):
+            assert traj.n_rejected_nonfinite == 0 and traj.n_accepted > 0
+        assert solution.termination is Termination.RESIDUAL_EVENT
+        assert solution.n_accepted + solution.n_rejected == 0
+
+    def test_rows_that_leave_early_keep_their_own_records(self):
+        # the toy rows finish at different attempts, so the batch shrinks
+        p, cfg = example_toy("unique"), DynamicsConfig(2.0)
+        starts = [[2.0, -2.0], [0.0, 1.0 + 1e-9], [3.0, 1.0], [-1.0, 4.0]]
+        opts = IntegratorOptions(stop_on_residual=1e-6)
+        trajs = integrate_many(p, cfg, starts, (0.0, 5.0), opts)
+        lengths = {traj.n_accepted + traj.n_rejected for traj in trajs}
+        assert len(lengths) > 1
+        for x0, traj in zip(starts, trajs):
+            _assert_same_trajectory(traj, integrate(p, cfg, x0, (0.0, 5.0), opts))
+
+    def test_every_row_stops_at_max_steps_together(self):
+        p, cfg = example_toy("none"), DynamicsConfig(2.0)
+        trajs = integrate_many(p, cfg, [[0.0, 0.0], [1.0, 2.0]], (0.0, 100.0),
+                               IntegratorOptions(max_steps=7))
+        for traj in trajs:
+            assert traj.termination is Termination.MAX_STEPS
+            assert traj.n_accepted + traj.n_rejected == 7
+
+    def test_each_start_is_validated(self):
+        p, cfg = example_toy("unique"), DynamicsConfig(2.0)
+        with pytest.raises(ValueError, match="dimension 3, expected 2"):
+            integrate_many(p, cfg, [[0.0, 1.0], [0.0, 1.0, 2.0]], (0.0, 1.0))
+        with pytest.raises(ValueError, match="finite number"):
+            integrate_many(p, cfg, [[0.0, 1.0], [math.nan, 1.0]], (0.0, 1.0))
+        with pytest.raises(ValueError, match="at least one start"):
+            integrate_many(p, cfg, [], (0.0, 1.0))

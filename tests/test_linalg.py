@@ -13,7 +13,7 @@ from socave.integrator import integrate
 from socave.linalg import (DenseOperator, TridiagToeplitz, as_array, as_count, as_numbers,
                            as_positive, as_tspan, as_vector)
 from socave.model import AveProblem, problem_from_dict, problem_to_dict
-from socave.problems import example_toy, example_tridiag
+from socave.problems import example_toy, example_tridiag, random_unique
 from socave.soc import ConeStructure
 
 SIZES = (1, 2, 3, 10, 101)
@@ -386,6 +386,41 @@ class TestTridiagToeplitz:
     def test_integer_valued_float_size_becomes_an_int(self):
         op = TridiagToeplitz(3.0, -1, 4, -1)
         assert op.shape == (3, 3) and type(op.n) is int
+
+
+class TestBatchedProducts:
+    """matvec and rmatvec of a (k, n) batch are those of each row, bit for
+    bit: the batched step loop relies on it."""
+
+    @staticmethod
+    def _assert_rowwise(op, X):
+        for product in (op.matvec, op.rmatvec):
+            batch = product(X)
+            assert batch.shape == X.shape
+            for row, got in zip(X, batch):
+                assert got.tobytes() == product(row).tobytes()
+
+    @pytest.mark.parametrize("blocks", [(1, 2, 3, 3, 3), (3,) * 66 + (2,), (5, 7, 1, 20), (40,)])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_dense(self, blocks, k):
+        cone = ConeStructure(blocks)
+        p, _ = random_unique(cone.dim, cone, 0.5, 1)
+        X = np.random.default_rng(len(blocks)).standard_normal((k, cone.dim))
+        self._assert_rowwise(p.A, X)
+
+    @pytest.mark.parametrize("n", (*SIZES, 1000))
+    @pytest.mark.parametrize("coeffs", COEFFS)
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_tridiag(self, n, coeffs, k):
+        X = np.random.default_rng(n).standard_normal((k, n))
+        self._assert_rowwise(TridiagToeplitz(n, *coeffs), X)
+
+    def test_a_non_finite_row_stays_in_its_row(self):
+        X = np.array([[1.0, 2.0, 3.0], [np.inf, 0.0, 1.0], [np.nan, 1.0, -1.0]])
+        for op in (TridiagToeplitz(3, -1.0, 4.0, -1.0), DenseOperator(np.eye(3) + 0.5)):
+            with np.errstate(invalid="ignore"):
+                self._assert_rowwise(op, X)
+                assert np.isfinite(op.matvec(X)[0]).all()
 
 
 class TestOperatorSchema:

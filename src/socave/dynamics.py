@@ -37,16 +37,19 @@ def rhs(p: AveProblem, cfg: DynamicsConfig, x: np.ndarray) -> np.ndarray:
     return rhs_and_residual(p, cfg, x)[0]
 
 
-def rhs_and_residual(p: AveProblem, cfg: DynamicsConfig,
-                     x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def rhs_and_residual(p: AveProblem, cfg: DynamicsConfig, x: np.ndarray,
+                     b: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(rhs(x), r(x)): the field and the residual it was computed from, of a
-    state x or of each row of a (k, n) batch x.
+    state x or of each row of a (k, n) batch x; b, if given, replaces p.b
+    row by row (see residual_kernel).
 
     The integrator's hot path: it records ||r|| of each accepted state from
     the evaluation it already made, so r is never computed twice. x is not
     validated, so a non-finite stage yields a rejected step.
     """
-    r = residual_kernel(p, x)
+    # residual_kernel(p, x) stays the call of a one-problem field, the form a
+    # stand-in kernel (say, a counting one in a test) may take
+    r = residual_kernel(p, x) if b is None else residual_kernel(p, x, b)
     return -cfg.gamma * p.A.rmatvec(r), r
 
 

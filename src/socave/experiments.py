@@ -86,14 +86,20 @@ def run_tridiag_experiment(n: int, out_dir=None) -> dict:
     }
 
 
-def run_toy_experiment(name: str, out_dir=None) -> dict:
-    """One of the 2-d instances from its deterministic start grid."""
+def _toy_grid(name: str) -> np.ndarray:
+    center = np.array([0.0, 1.0]) if name == "unique" else np.zeros(2)
+    return initial_grid(center, TOY_GRID_POINTS[name])
+
+
+def run_toy_experiment(name: str, out_dir=None, trajs=None) -> dict:
+    """One of the 2-d instances from its deterministic start grid. trajs,
+    if given, are the grid's trajectories, already integrated (see
+    run_toy_experiments)."""
     p = example_toy(name)
     cfg = DynamicsConfig(TOY_GAMMA)
-    tspan = TOY_TSPANS[name]
-    center = np.array([0.0, 1.0]) if name == "unique" else np.zeros(2)
-    starts = initial_grid(center, TOY_GRID_POINTS[name])
-    trajs = integrate_many(p, cfg, starts, tspan, IntegratorOptions())
+    starts = _toy_grid(name)
+    if trajs is None:
+        trajs = integrate_many(p, cfg, starts, TOY_TSPANS[name], IntegratorOptions())
     runs = []
     for j, (x0, traj) in enumerate(zip(starts, trajs)):
         xf = traj.final_state
@@ -120,6 +126,23 @@ def run_toy_experiment(name: str, out_dir=None) -> dict:
         runs.append(run)
         _maybe_write(out_dir, f"toy_{name}_{j:02d}.csv", traj)
     return {"name": name, "runs": runs, "all_ok": all(r["ok"] for r in runs)}
+
+
+def run_toy_experiments(names, out_dir=None) -> dict:
+    """{name: run_toy_experiment(name, out_dir)} for the 2-d instances
+    named, with the starts of every grid stepped as one batch: the instances
+    share A and the cone, and each row has its own b and span."""
+    problems = {name: example_toy(name) for name in names}
+    grids = [_toy_grid(name) for name in names]
+    rows = [name for name, grid in zip(names, grids) for _ in grid]
+    trajs = integrate_many([problems[name] for name in rows], DynamicsConfig(TOY_GAMMA),
+                           np.concatenate(grids), [TOY_TSPANS[name] for name in rows],
+                           IntegratorOptions())
+    results, k = {}, 0
+    for name, grid in zip(names, grids):
+        results[name] = run_toy_experiment(name, out_dir, trajs[k:k + len(grid)])
+        k += len(grid)
+    return results
 
 
 def _fork_alongside(child, here):
@@ -175,9 +198,9 @@ def run_paper_suite(out_dir=None) -> dict:
 
     The experiments are independent of each other, so a child forked first
     runs the n = 1000 tridiagonal one and writes its CSVs, while this
-    process runs n = 100 and then the toys; only the child's result dict
-    comes back. The outputs are those of a serial run. A failure in the
-    child is raised here.
+    process runs n = 100 and then the toys, all 23 starts as one batch; only
+    the child's result dict comes back. The outputs are those of a serial
+    run. A failure in the child is raised here.
     """
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -187,7 +210,7 @@ def run_paper_suite(out_dir=None) -> dict:
     # keyword, which such a replacement may read
     def here():
         small = run_tridiag_experiment(n=100, out_dir=out_dir)
-        return small, {name: run_toy_experiment(name, out_dir=out_dir) for name in TOY_RHS}
+        return small, run_toy_experiments(TOY_RHS, out_dir=out_dir)
 
     tridiag_large, (tridiag_small, toys) = _fork_alongside(
         lambda: run_tridiag_experiment(n=1000, out_dir=out_dir), here)

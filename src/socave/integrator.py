@@ -133,18 +133,23 @@ def integrate_ode(f, x0, tspan, opts: IntegratorOptions = IntegratorOptions()) -
         v = f(t, x[0])[None]
         return v, v
 
-    return _integrate(field, x0[None], tspan, opts)[0]
+    return _integrate(field, x0[None], [as_tspan(tspan)], opts)[0]
 
 
 class _Run:
-    """The state of one row of the step loop, and what it records."""
+    """The state of one row of the step loop, its span, and what it records."""
 
-    __slots__ = ("t", "h", "x", "rnorm", "times", "states", "res_norms", "n_accepted",
-                 "n_rejected", "n_rejected_nonfinite", "termination")
+    __slots__ = ("t", "tf", "near_tf", "h", "x", "rnorm", "times", "states", "res_norms",
+                 "n_accepted", "n_rejected", "n_rejected_nonfinite", "termination")
 
-    def __init__(self, t, h, x, rnorm):
-        self.t, self.h, self.x, self.rnorm = t, h, x, rnorm
-        self.times, self.states, self.res_norms = [t], [x], [rnorm]
+    def __init__(self, tspan, x, rnorm):
+        t0, self.tf = tspan
+        self.t, self.x, self.rnorm = t0, x, rnorm
+        self.h = max(0.01 * (self.tf - t0), H_MIN)
+        # robust endpoint test: floating accumulation can leave t a few ulps
+        # short of tf after the final truncated step
+        self.near_tf = 1e-13 * (self.tf - t0)
+        self.times, self.states, self.res_norms = [t0], [x], [rnorm]
         self.n_accepted = self.n_rejected = self.n_rejected_nonfinite = 0
         self.termination = None
 
@@ -164,43 +169,46 @@ class _Run:
         )
 
 
-def _running(runs: list[_Run], *rows: np.ndarray):
-    """The runs not yet terminated, and the matching rows of each array."""
+def _running(runs: list[_Run], *rows):
+    """The runs not yet terminated, and the matching rows of each array (None
+    stays None)."""
     keep = [i for i, run in enumerate(runs) if run.termination is None]
-    return [runs[i] for i in keep], *(a[keep] for a in rows)
+    return [runs[i] for i in keep], *(a if a is None else a[keep] for a in rows)
 
 
 # non-finite values are not errors here, from x0 on: a non-finite stage is
 # a rejected step
 @np.errstate(over="ignore", invalid="ignore")
-def _integrate(field, x0: np.ndarray, tspan, opts: IntegratorOptions) -> list[Trajectory]:
-    """The step loop: one trajectory per row of the (k, n) batch x0, for a
-    field(t, x) -> (dx/dt, aux) of a batch x.
+def _integrate(field, x0: np.ndarray, tspans: list, opts: IntegratorOptions,
+               rows: np.ndarray | None = None) -> list[Trajectory]:
+    """The step loop: one trajectory per row of the (k, n) batch x0, the row
+    i over the validated span tspans[i], for a field(t, x) -> (dx/dt, aux)
+    of a batch x. With rows, an array with one row per start, the field is
+    field(t, x, rows) and gets the rows of the starts still running.
 
     The rows still running are stepped together, but each has its own t,
-    step size, error test, counters, records and termination, and leaves the
-    batch when it terminates: each trajectory is the one its row gives as a
-    batch of one. t and h go to rk23_step as floats for one row, whose
-    scalar arithmetic is cheaper, and as (k, 1) columns for more. The
-    recorded norm is ||aux|| of the evaluation
-    at the recorded state. The field runs once on x0, then three times per
-    attempt on the rows still running.
+    span, step size, error test, counters, records and termination, and
+    leaves the batch when it terminates: each trajectory is the one its row
+    gives as a batch of one. t and h go to rk23_step as floats for one row,
+    whose scalar arithmetic is cheaper, and as (k, 1) columns for more. The
+    recorded norm is ||aux|| of the evaluation at the recorded state. The
+    field runs once on x0, then three times per attempt on the rows still
+    running.
     """
-    t0, tf = as_tspan(tspan)
     x = np.array(x0, dtype=float)
-    fx, aux = field(t0, x)
-    h0 = max(0.01 * (tf - t0), H_MIN)
-    near_tf = 1e-13 * (tf - t0)
+    # rows is looked up at each call, so the stages see it filtered
+    call = field if rows is None else lambda t, y: field(t, y, rows)
+    fx, aux = call(tspans[0][0] if len(x) == 1 else np.array([[t0] for t0, _ in tspans]), x)
     stop, stride = opts.stop_on_residual, opts.record_stride
     # states are never mutated: they are rows of x0 or of the x_high of a
     # step, which the loop makes afresh and never writes to. A recorded row
     # keeps its whole batch array alive until the trajectories are built
-    runs = [_Run(t0, h0, row, math.sqrt(a.dot(a)))  # np.linalg.norm's arithmetic
-            for row, a in zip(x, aux)]
+    runs = [_Run(tspan, row, math.sqrt(a.dot(a)))  # np.linalg.norm's arithmetic
+            for tspan, row, a in zip(tspans, x, aux)]
     for run in runs:
         if stop is not None and run.rnorm <= stop:
             run.termination = Termination.RESIDUAL_EVENT
-    live, x, fx = _running(runs, x, fx)
+    live, x, fx, rows = _running(runs, x, fx, rows)
 
     attempts = 0  # the same for every row still running
     while live:
@@ -209,13 +217,13 @@ def _integrate(field, x0: np.ndarray, tspan, opts: IntegratorOptions) -> list[Tr
                 run.termination = Termination.MAX_STEPS
             break
         attempts += 1
-        h_trials = [min(run.h, tf - run.t) for run in live]
+        h_trials = [min(run.h, run.tf - run.t) for run in live]
         if len(live) == 1:
             t, h = live[0].t, h_trials[0]
         else:
             t = np.array([[run.t] for run in live])
             h = np.array(h_trials)[:, None]
-        x_new, err, k4, aux4 = rk23_step(field, t, x, h, opts.rtol, opts.atol, fx)
+        x_new, err, k4, aux4 = rk23_step(call, t, x, h, opts.rtol, opts.atol, fx)
         errs = err.tolist()
         n_took = 0
         ended = False
@@ -228,11 +236,9 @@ def _integrate(field, x0: np.ndarray, tspan, opts: IntegratorOptions) -> list[Tr
                 run.n_accepted += 1
                 a = aux4[i]
                 run.rnorm = rnorm = math.sqrt(a.dot(a))
-                # robust endpoint test: floating accumulation can leave t a few
-                # ulps short of tf after the final truncated step
                 if stop is not None and rnorm <= stop:
                     run.termination = Termination.RESIDUAL_EVENT
-                elif (tf - t_new) <= near_tf:
+                elif (run.tf - t_new) <= run.near_tf:
                     run.termination = Termination.REACHED_TF
                 if run.n_accepted % stride == 0:
                     run.times.append(t_new)
@@ -252,23 +258,47 @@ def _integrate(field, x0: np.ndarray, tspan, opts: IntegratorOptions) -> list[Tr
             took = (err <= 1.0)[:, None]
             x, fx = np.where(took, x_new, x), np.where(took, k4, fx)
         if ended:
-            live, x, fx = _running(live, x, fx)
+            live, x, fx, rows = _running(live, x, fx, rows)
 
     return [run.trajectory(stride) for run in runs]
 
 
-def integrate_many(p: AveProblem, cfg: DynamicsConfig, starts, tspan,
+def integrate_many(p, cfg: DynamicsConfig, starts, tspan,
                    opts: IntegratorOptions = IntegratorOptions()) -> list[Trajectory]:
     """integrate from each of starts, stepped as one batch: one trajectory
     per start, each bit-identical to integrate from that start.
 
-    Each start is validated here, once; the stages are not (see
+    p is one problem, or a list of one problem per start; problems that do
+    not share A and the cone raise ValueError, and each row subtracts its
+    own b. tspan is one span, or a list of one span per start. Each start
+    and span is validated here, once; the stages are not (see
     rhs_and_residual).
     """
-    x0 = [as_vector(x, p.n) for x in starts]
-    if not x0:
+    starts = list(starts)
+    if not starts:
         raise ValueError("integrate_many needs at least one start")
-    return _integrate(lambda t, x: rhs_and_residual(p, cfg, x), np.array(x0), tspan, opts)
+    b = None
+    if not isinstance(p, AveProblem):
+        problems = _one_per_start(p, len(starts), "problems")
+        p = problems[0]
+        if any(q.A != p.A or q.cone != p.cone for q in problems):
+            raise ValueError("the problems of one batch must share A and the cone")
+        b = np.array([q.b for q in problems])
+    x0 = np.array([as_vector(x, p.n) for x in starts])
+    if np.ndim(tspan) == 2:
+        tspans = [as_tspan(s) for s in _one_per_start(tspan, len(starts), "spans")]
+    else:
+        tspans = [as_tspan(tspan)] * len(starts)
+    if b is None:
+        return _integrate(lambda t, x: rhs_and_residual(p, cfg, x), x0, tspans, opts)
+    return _integrate(lambda t, x, b: rhs_and_residual(p, cfg, x, b), x0, tspans, opts, b)
+
+
+def _one_per_start(items, k: int, what: str) -> list:
+    items = list(items)
+    if len(items) != k:
+        raise ValueError(f"{len(items)} {what} for {k} starts")
+    return items
 
 
 def integrate(p: AveProblem, cfg: DynamicsConfig, x0, tspan,

@@ -127,6 +127,11 @@ class DenseOperator:
     def to_dense(self) -> np.ndarray:
         return self.array
 
+    def __eq__(self, other):
+        """The same stored matrix, bit for bit: the same products."""
+        return (isinstance(other, DenseOperator) and self.shape == other.shape
+                and self.array.tobytes() == other.array.tobytes())
+
     def sigma_min(self) -> float:
         return float(np.linalg.svd(self.array, compute_uv=False)[-1])
 
@@ -162,6 +167,11 @@ class TridiagToeplitz:
         # the correlation kernels of matvec and rmatvec, built once
         object.__setattr__(self, "_kernel", np.array([self.sub, self.diag, self.sup]))
         object.__setattr__(self, "_rkernel", np.array([self.sup, self.diag, self.sub]))
+
+    def __eq__(self, other):
+        """The same n and coefficients, bit for bit: the same products."""
+        return (isinstance(other, TridiagToeplitz) and self.n == other.n
+                and self._kernel.tobytes() == other._kernel.tobytes())
 
     @property
     def shape(self) -> tuple[int, int]:

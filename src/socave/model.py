@@ -66,13 +66,16 @@ def residual(p: AveProblem, x) -> np.ndarray:
     return residual_kernel(p, as_vector(x, p.n))
 
 
-def residual_kernel(p: AveProblem, x: np.ndarray) -> np.ndarray:
+def residual_kernel(p: AveProblem, x: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     """residual without input validation, for the integrator's hot path: x
     must be a float vector of dimension p.n, or a (k, p.n) batch of them, one
     per row; non-finite entries give a non-finite residual instead of an
-    error."""
-    # b as a row: numpy's fast same-shape loop for a batch of one row
-    return p.A.matvec(x) - abs_kernel(x, p.cone) - (p.b if x.ndim == 1 else p.b[None])
+    error. b, if given, is a (k, p.n) array whose rows replace p.b, one per
+    row of x: a batch of problems that share A and the cone."""
+    if b is None:
+        # b as a row: numpy's fast same-shape loop for a batch of one row
+        b = p.b if x.ndim == 1 else p.b[None]
+    return p.A.matvec(x) - abs_kernel(x, p.cone) - b
 
 
 def qf_maps(p: AveProblem, x) -> tuple[np.ndarray, np.ndarray]:

@@ -38,7 +38,7 @@ def write_json(path, obj) -> None:
         fh.write(text + "\n")
 
 
-# values per chunk: small enough that np.unique's sort stays cheap in memory
+# values per chunk: small enough that the sort stays cheap in memory
 CSV_CHUNK_VALUES = 4096
 
 
@@ -46,8 +46,8 @@ def write_trajectory_csv(path, traj: Trajectory) -> None:
     """traj as CSV (schema above). The table goes out in chunks of about
     CSV_CHUNK_VALUES values, and each distinct bit pattern of a chunk is
     formatted once; a chunk whose values are more than half distinct is
-    formatted row by row instead. Either way the bytes are those of one
-    "%.17g" per value."""
+    formatted row by row instead, counted on a sort before any lookup is
+    built. Either way the bytes are those of one "%.17g" per value."""
     n = traj.states.shape[1]
     width = n + 2
     # one % per row; the bytes are those of csv.writer with format(v, ".17g")
@@ -60,12 +60,17 @@ def write_trajectory_csv(path, traj: Trajectory) -> None:
                                      traj.residual_norms[k:k + step]))
             # keyed by bit pattern: a float key would merge -0.0 with 0.0
             bits = chunk.astype(np.float64, copy=False).view(np.int64).ravel()
-            keys, inverse = np.unique(bits, return_inverse=True)
-            if 2 * keys.size > bits.size:
+            keys = np.sort(bits)
+            first = np.empty(keys.size, dtype=bool)  # the first of each run of equal keys
+            first[:1] = True
+            np.not_equal(keys[1:], keys[:-1], out=first[1:])
+            if 2 * np.count_nonzero(first) > bits.size:
                 fh.writelines([row % tuple(r) for r in chunk.tolist()])
                 continue
+            keys = keys[first]
             text = ["%.17g" % v for v in keys.view(np.float64).tolist()]
-            words = np.asarray(text, dtype=object)[inverse].reshape(-1, width).tolist()
+            words = np.asarray(text, dtype=object)[np.searchsorted(keys, bits)]
+            words = words.reshape(-1, width).tolist()
             fh.writelines([",".join(r) + "\r\n" for r in words])
 
 

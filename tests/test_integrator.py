@@ -534,6 +534,34 @@ class TestIntegrateMany:
             assert traj.termination is Termination.MAX_STEPS
             assert traj.n_accepted + traj.n_rejected == 7
 
+    def test_a_batch_of_several_problems_is_each_row_alone(self):
+        # the suite's three toys share A and the cone; each row has its own
+        # b and span, and the rows leave the batch at different attempts
+        cfg, opts = DynamicsConfig(2.0), IntegratorOptions(record_stride=2)
+        rows = [("multi", [3.0, 0.0], (0.0, 5.0)), ("none", [0.0, -3.0], (0.0, 10.0)),
+                ("unique", [-3.0, 1.0], (0.0, 5.0)), ("multi", [-1.0, 2.0], (0.0, 5.0)),
+                ("none", [1.0, 1.0], (1.0, 3.0))]
+        problems = {name: example_toy(name) for name in ("multi", "unique", "none")}
+        trajs = integrate_many([problems[name] for name, _, _ in rows], cfg,
+                               [x0 for _, x0, _ in rows], [tspan for _, _, tspan in rows], opts)
+        assert len({traj.n_accepted + traj.n_rejected for traj in trajs}) > 1
+        for (name, x0, tspan), traj in zip(rows, trajs):
+            _assert_same_trajectory(traj, integrate(example_toy(name), cfg, x0, tspan, opts))
+
+    def test_a_batch_of_several_problems_must_share_a_and_the_cone(self):
+        cfg, toy = DynamicsConfig(2.0), example_toy("unique")
+        other_a = AveProblem(np.diag([1.0, -2.0]), toy.b, toy.cone)
+        other_cone = AveProblem(toy.A, toy.b, ConeStructure((1, 1)))
+        for other in (other_a, other_cone):
+            with pytest.raises(ValueError, match="share A and the cone"):
+                integrate_many([toy, other], cfg, [[0.0, 1.0], [1.0, 0.0]], (0.0, 1.0))
+        with pytest.raises(ValueError, match="1 problems for 2 starts"):
+            integrate_many([toy], cfg, [[0.0, 1.0], [1.0, 0.0]], (0.0, 1.0))
+        with pytest.raises(ValueError, match="3 spans for 2 starts"):
+            integrate_many(toy, cfg, [[0.0, 1.0], [1.0, 0.0]], [(0.0, 1.0)] * 3)
+        with pytest.raises(ValueError, match="tspan must be"):
+            integrate_many(toy, cfg, [[0.0, 1.0], [1.0, 0.0]], [(0.0, 1.0), (1.0, 0.0)])
+
     def test_each_start_is_validated(self):
         p, cfg = example_toy("unique"), DynamicsConfig(2.0)
         with pytest.raises(ValueError, match="dimension 3, expected 2"):

@@ -298,6 +298,16 @@ def _case(blocks, x):
     return ConeStructure(blocks), np.array(x, dtype=float)
 
 
+@st.composite
+def cone_and_batch(draw):
+    """A cone of 1-10 blocks of mixed sizes 1-6 and a (k, dim) batch, k = 1-5."""
+    cone = ConeStructure(draw(st.lists(st.integers(1, 6), min_size=1, max_size=10)))
+    k = draw(st.integers(1, 5))
+    x = draw(st.lists(entries, min_size=k * cone.dim, max_size=k * cone.dim))
+    return cone, np.array(x, dtype=float).reshape(k, cone.dim)
+
+
+
 class TestAbsKernelBitwise:
     """abs_kernel keeps every IEEE operation of the reference form."""
 
@@ -318,6 +328,33 @@ class TestAbsKernelBitwise:
             expected = _reference_abs_kernel(x, cone)
             got = abs_kernel(x, cone)
         assert _bits(got) == _bits(expected)
+
+    @settings(max_examples=300)
+    @given(cone_and_batch())
+    # 4-entry tails, gathered from a batch: with x[..., idx] they would have
+    # a stride of 40 bytes, and a strided ddot rounds differently
+    @example((ConeStructure((2, 1, 4, 2, 1, 5)),
+              np.random.default_rng(11).standard_normal((5, 15)).round(3)))
+    @example(_case((1, 1, 1), [[-0.0, 2.0, math.nan], [3.0, -math.inf, 0.0]]))
+    # one row, but enough blocks for the grouped pass
+    @example(_case((2,) * 8, [[1.0, BELOW_TOL, -1.0, TAIL_ZERO_TOL, 0.5, -ABOVE_TOL, -0.0, 0.0,
+                               math.inf, 1.0, 2.0, math.nan, 1e308, 1e308, -2.5, 0.6 * TAIL_ZERO_TOL]]))
+    @example(_case((3, 3), [[1.0, BELOW_TOL, 0.0, -1.0, 0.0, ABOVE_TOL],
+                             [math.inf, 1.0, 2.0, 1e308, 1e308, -1e308]]))
+    def test_batch_rows_match_reference(self, case):
+        cone, x = case
+        with np.errstate(all="ignore"):
+            got = abs_kernel(x, cone)
+            for row, expected in zip(got, x):
+                assert _bits(row) == _bits(_reference_abs_kernel(expected, cone))
+
+    def test_a_subnormal_tail_in_a_batch_is_silent(self):
+        # its square underflows in matmul, and 0.5 * (hi - lo) / s would
+        # divide by the tail norm that is taken as 0
+        x = np.array([[1.0, 5e-324], [1.0, 5e-324]])
+        with np.errstate(all="raise"):
+            got = abs_kernel(x, K2)
+        assert _bits(got) == _bits(np.array([[1.0, 0.0], [1.0, 0.0]]))
 
     @given(st.lists(entries, min_size=1, max_size=40))
     def test_tail_norm_is_the_arithmetic_of_linalg_norm(self, values):

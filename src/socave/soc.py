@@ -92,8 +92,6 @@ def _split(x: np.ndarray, i: int, tail: slice):
     arithmetic of np.linalg.norm for a real vector."""
     x2 = x[tail]
     s = math.sqrt(x2.dot(x2))
-    # x1 stays a numpy scalar: its arithmetic gives nan or inf where a Python
-    # float raises, e.g. project_kernel's t / s with a nan head and s = 0
     return x[i], (0.0 if s < TAIL_ZERO_TOL else s), x2
 
 
@@ -121,13 +119,14 @@ def spectral_decompose(xb: np.ndarray) -> SpectralDecomp:
 
 def jordan_product(x, y, cone: ConeStructure) -> np.ndarray:
     """Blockwise Jordan product (<x,y>, y1*x2 + x1*y2)."""
-    x = as_vector(x, cone.dim)
-    y = as_vector(y, cone.dim)
-    out = np.empty_like(x)
-    for sl in cone.slices():
-        xb, yb = x[sl], y[sl]
-        out[sl][0] = float(xb @ yb)
-        out[sl][1:] = yb[0] * xb[1:] + xb[0] * yb[1:]
+    return _blockwise(_jordan_blocks, cone, as_vector(x, cone.dim), as_vector(y, cone.dim))
+
+
+def _jordan_blocks(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+    out = np.empty_like(gx)
+    # one ddot per block, the call of a block's xb @ yb
+    out[..., 0] = np.matmul(gx[..., None, :], gy[..., :, None])[..., 0, 0]
+    out[..., 1:] = gy[..., :1] * gx[..., 1:] + gx[..., :1] * gy[..., 1:]
     return out
 
 
@@ -150,15 +149,22 @@ def abs_kernel(x: np.ndarray, cone: ConeStructure) -> np.ndarray:
         out = np.empty_like(x)
         _abs_into(x.ravel(), cone, out.ravel())
         return out
+    return _blockwise(_abs_blocks, cone, x)
+
+
+def _blockwise(kernel, cone: ConeStructure, *xs: np.ndarray) -> np.ndarray:
+    """kernel of each size group of the blocks of xs (vectors or (k, cone.dim)
+    batches of one shape), called with their C-contiguous (..., blocks, m)
+    stacks; its result goes back in their place."""
     if len(cone._groups) == 1:
-        m = cone.blocks[0]
-        g = np.ascontiguousarray(x).reshape(*x.shape[:-1], -1, m)
-        return _abs_blocks(g).reshape(x.shape)
-    out = np.empty_like(x)
+        shape = xs[0].shape
+        gs = [np.ascontiguousarray(x).reshape(*shape[:-1], -1, cone.blocks[0]) for x in xs]
+        return kernel(*gs).reshape(shape)
+    out = np.empty_like(xs[0])
     for m, idx in cone._groups:
         # np.take makes a C-contiguous copy: x[..., idx] of a batch would give
         # strided tails, whose ddot rounds differently
-        out[..., idx] = _abs_blocks(np.take(x, idx, axis=-1))
+        out[..., idx] = kernel(*(np.take(x, idx, axis=-1) for x in xs))
     return out
 
 
@@ -179,31 +185,36 @@ def _abs_into(x: np.ndarray, cone: ConeStructure, out: np.ndarray) -> None:
             np.multiply(0.5 * (hi - lo) / s, xt, out=out[tail])
 
 
-# silent, as _abs_into's Python floats and x2.dot(x2) are: inf and nan
-# come out without a warning, a subnormal tail's product underflows in
-# matmul, and the zero blocks' quotients, overwritten below, may divide by 0
+# silent, as _split's scalars are: inf and nan come out without a warning, a
+# subnormal tail's square underflows in matmul, and blocks whose s is taken
+# as 0 divide by 0, for the callers to overwrite
 @np.errstate(all="ignore")
-def _abs_blocks(g: np.ndarray) -> np.ndarray:
-    """abs_kernel of the blocks stacked along the last two axes of the
-    C-contiguous (..., blocks, m) array g: _abs_into's operations,
-    elementwise."""
-    if g.shape[-1] == 1:
-        return np.abs(g)
+def _spectral_blocks(g: np.ndarray, f):
+    """(f(lam1)*u1 + f(lam2)*u2, s) for the blocks (x1, x2) stacked in g, with
+    lam1, lam2 = x1 -/+ s and s = ||x2||, taken as 0 below TAIL_ZERO_TOL:
+    _split's head and tail formulas, elementwise."""
     h, t = g[..., 0], g[..., 1:]
     # a stack of (1, m-1) @ (m-1, 1) products is one ddot per tail, the same
     # call as _split's x2.dot(x2); the tails must have unit stride
     s = np.sqrt(np.matmul(t[..., None, :], t[..., :, None])[..., 0, 0])
-    zero = s < TAIL_ZERO_TOL
-    lo = np.abs(h - s)
-    hi = np.abs(h + s)
+    s[s < TAIL_ZERO_TOL] = 0.0
+    lo, hi = f(h - s), f(h + s)
     out = np.empty_like(g)
     np.multiply(0.5, lo + hi, out=out[..., 0])
     hi -= lo
     hi *= 0.5
     hi /= s
     np.multiply(hi[..., None], t, out=out[..., 1:])
-    if zero.any():  # blocks whose tail is taken as zero: (|x1|, 0)
-        out[..., 0][zero] = np.abs(h[zero])
+    return out, s
+
+
+def _abs_blocks(g: np.ndarray) -> np.ndarray:
+    if g.shape[-1] == 1:
+        return np.abs(g)
+    out, s = _spectral_blocks(g, np.abs)
+    if not s.all():  # blocks whose tail is taken as zero: (|x1|, 0)
+        zero = s == 0.0
+        out[..., 0][zero] = np.abs(g[..., 0][zero])
         out[..., 1:][zero] = 0.0
     return out
 
@@ -215,18 +226,17 @@ def project_cone(x, cone: ConeStructure) -> np.ndarray:
 
 def project_kernel(x: np.ndarray, cone: ConeStructure) -> np.ndarray:
     """project_cone without input validation: x must be a float vector of
-    dimension cone.dim; non-finite entries give non-finite output."""
-    out = np.empty_like(x)
-    for i, tail in cone._parts:
-        x1, s, x2 = _split(x, i, tail)
-        if x1 >= s:  # x in K
-            out[i], out[tail] = x1, x2
-        elif x1 <= -s:  # x in -K
-            out[i], out[tail] = 0.0, 0.0
-        else:
-            t = 0.5 * (x1 + s)
-            out[i] = t
-            out[tail] = (t / s) * x2
+    dimension cone.dim, or a (k, cone.dim) batch of them, one per row;
+    non-finite entries give non-finite output."""
+    return _blockwise(_project_blocks, cone, x)
+
+
+def _project_blocks(g: np.ndarray) -> np.ndarray:
+    # size 1 too: np.maximum(-0.0, 0) is 0.0, but -0.0 in K projects to -0.0
+    out, s = _spectral_blocks(g, lambda v: np.maximum(v, 0.0))
+    out[g[..., 0] <= -s] = 0.0  # blocks in -K
+    inside = g[..., 0] >= s  # blocks in K, which wins where both hold
+    out[inside] = g[inside]
     return out
 
 

@@ -9,6 +9,11 @@ check whole trajectories without a second implementation.
 
 With c and gamma powers of two every scaling is exact in floating point, so
 both relations hold bit for bit, step counts included.
+
+- Block permutation: the cone kernels act on each block alone, so moving
+  blocks of x among the places of blocks of the same size moves the blocks
+  of |x|, P_K(x) and x o y the same way, bit for bit, since every block keeps
+  its arithmetic wherever it sits.
 """
 
 import numpy as np
@@ -18,7 +23,7 @@ from socave.dynamics import DynamicsConfig
 from socave.integrator import IntegratorOptions, integrate
 from socave.model import AveProblem
 from socave.problems import example_tridiag, random_unique
-from socave.soc import ConeStructure
+from socave.soc import ConeStructure, abs_kernel, jordan_product, project_kernel
 
 
 def mixed_blocks():
@@ -58,3 +63,51 @@ def test_scaling_b_and_x0_scales_the_trajectory():
     assert np.array_equal(scaled.states, c * ref.states)
     assert np.array_equal(scaled.times, ref.times)
     assert np.array_equal(scaled.residual_norms, c * ref.residual_norms)
+
+
+# 17 blocks of sizes 3, 2 and 1 in mixed order: enough blocks for abs_kernel
+# to take one row through its groups, not block by block
+PERMUTED_CONE = ConeStructure((3, 1, 2, 3, 2, 1, 3, 2, 2, 3, 1, 2, 3, 2, 3, 2, 2))
+
+
+def block_permutation(cone):
+    """Indices that put at each block's place the previous block of its size
+    (the last block of a size goes to the first): a cycle in each size, which
+    does not commute with reversing the order of the blocks."""
+    blocks = np.array(cone.blocks)
+    heads = np.cumsum(blocks) - blocks
+    source = np.arange(blocks.size)
+    for m in set(cone.blocks):
+        same = np.flatnonzero(blocks == m)
+        source[same] = np.roll(same, 1)
+    return np.concatenate([heads[j] + np.arange(blocks[j]) for j in source])
+
+
+def permutation_inputs(rows):
+    """x of rows rows (one vector if rows is None) with blocks in K, in -K,
+    with zero tails and neither, from normal draws."""
+    cone = PERMUTED_CONE
+    shape = (cone.dim,) if rows is None else (rows, cone.dim)
+    x = np.random.default_rng(3).standard_normal(shape)
+    x[..., 0] += 4.0  # the first block in K
+    x[..., 6] -= 4.0  # the second 3-block in -K
+    x[..., 5] = 0.0  # the first 2-block with a zero tail
+    return cone, x
+
+
+@pytest.mark.parametrize("rows", [None, 4], ids=["one-row", "batch"])
+@pytest.mark.parametrize("kernel", [abs_kernel, project_kernel], ids=["abs", "project"])
+def test_permuting_equal_size_blocks_commutes_with_the_kernel(kernel, rows):
+    cone, x = permutation_inputs(rows)
+    perm = block_permutation(cone)
+    assert not np.array_equal(perm, np.arange(cone.dim))
+    assert kernel(x[..., perm], cone).tobytes() == kernel(x, cone)[..., perm].tobytes()
+
+
+def test_permuting_equal_size_blocks_commutes_with_the_jordan_product():
+    # jordan_product takes vectors, not batches
+    cone, x = permutation_inputs(None)
+    y = np.random.default_rng(4).standard_normal(cone.dim)
+    perm = block_permutation(cone)
+    assert jordan_product(x[perm], y[perm], cone).tobytes() == \
+        jordan_product(x, y, cone)[perm].tobytes()

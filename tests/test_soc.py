@@ -273,6 +273,39 @@ def _reference_abs_kernel(x, cone):
     return out
 
 
+def _reference_project_cone(x, cone):
+    """project_kernel as it was, block by block with np.linalg.norm tails
+    and numpy-scalar heads: the reference its groups must match bit for bit."""
+    out = np.empty_like(x)
+    for sl in cone.slices():
+        xb = x[sl]
+        if xb.shape[0] == 1:
+            out[sl] = max(xb[0], 0.0)
+            continue
+        s = float(np.linalg.norm(xb[1:]))
+        s = 0.0 if s < TAIL_ZERO_TOL else s
+        if xb[0] >= s:
+            out[sl] = xb
+        elif xb[0] <= -s:
+            out[sl] = 0.0
+        else:
+            t = 0.5 * (xb[0] + s)
+            out[sl][0] = t
+            out[sl][1:] = (t / s) * xb[1:]
+    return out
+
+
+def _reference_jordan_product(x, y, cone):
+    """jordan_product as it was, block by block: the reference its groups
+    must match bit for bit."""
+    out = np.empty_like(x)
+    for sl in cone.slices():
+        xb, yb = x[sl], y[sl]
+        out[sl][0] = float(xb @ yb)
+        out[sl][1:] = yb[0] * xb[1:] + xb[0] * yb[1:]
+    return out
+
+
 def _bits(a):
     """The bytes of a with every NaN made the same NaN: equal bits means the
     same values, signed zeros and NaN positions included."""
@@ -308,6 +341,13 @@ def cone_and_batch(draw):
 
 
 
+# the kernels that take a (k, n) batch, each with its one-row reference
+BATCH_KERNELS = pytest.mark.parametrize("kernel, reference", [
+    (abs_kernel, _reference_abs_kernel),
+    (project_kernel, _reference_project_cone),
+], ids=["abs", "project"])
+
+
 class TestAbsKernelBitwise:
     """abs_kernel keeps every IEEE operation of the reference form."""
 
@@ -329,8 +369,9 @@ class TestAbsKernelBitwise:
             got = abs_kernel(x, cone)
         assert _bits(got) == _bits(expected)
 
+    @BATCH_KERNELS
     @settings(max_examples=300)
-    @given(cone_and_batch())
+    @given(case=cone_and_batch())
     # 4-entry tails, gathered from a batch: with x[..., idx] they would have
     # a stride of 40 bytes, and a strided ddot rounds differently
     @example((ConeStructure((2, 1, 4, 2, 1, 5)),
@@ -341,20 +382,23 @@ class TestAbsKernelBitwise:
                                math.inf, 1.0, 2.0, math.nan, 1e308, 1e308, -2.5, 0.6 * TAIL_ZERO_TOL]]))
     @example(_case((3, 3), [[1.0, BELOW_TOL, 0.0, -1.0, 0.0, ABOVE_TOL],
                              [math.inf, 1.0, 2.0, 1e308, 1e308, -1e308]]))
-    def test_batch_rows_match_reference(self, case):
+    def test_batch_rows_match_reference(self, kernel, reference, case):
         cone, x = case
         with np.errstate(all="ignore"):
-            got = abs_kernel(x, cone)
+            got = kernel(x, cone)
             for row, expected in zip(got, x):
-                assert _bits(row) == _bits(_reference_abs_kernel(expected, cone))
+                assert _bits(row) == _bits(reference(expected, cone))
 
-    def test_a_subnormal_tail_in_a_batch_is_silent(self):
-        # its square underflows in matmul, and 0.5 * (hi - lo) / s would
+    @BATCH_KERNELS
+    def test_a_subnormal_tail_in_a_batch_is_silent(self, kernel, reference):
+        # its square underflows in matmul, and the tail's quotient would
         # divide by the tail norm that is taken as 0
         x = np.array([[1.0, 5e-324], [1.0, 5e-324]])
+        with np.errstate(all="ignore"):
+            expected = np.array([reference(row, K2) for row in x])
         with np.errstate(all="raise"):
-            got = abs_kernel(x, K2)
-        assert _bits(got) == _bits(np.array([[1.0, 0.0], [1.0, 0.0]]))
+            got = kernel(x, K2)
+        assert _bits(got) == _bits(expected)
 
     @given(st.lists(entries, min_size=1, max_size=40))
     def test_tail_norm_is_the_arithmetic_of_linalg_norm(self, values):
@@ -364,33 +408,13 @@ class TestAbsKernelBitwise:
                 _bits(np.array(float(np.linalg.norm(tail))))
 
 
-# The parent forms of the functions that now share one block split, kept
-# here as references the split must match bit for bit: np.linalg.norm tails,
+# The parent forms of the functions that share one block split, kept here
+# as references the split must match bit for bit: np.linalg.norm tails,
 # numpy-scalar heads and the size-1 branches they had.
 def _reference_eigenvalues(xb):
     s = float(np.linalg.norm(xb[1:])) if xb.shape[0] > 1 else 0.0
     s = 0.0 if s < TAIL_ZERO_TOL else s
     return float(xb[0]) - s, float(xb[0]) + s
-
-
-def _reference_project_cone(x, cone):
-    out = np.empty_like(x)
-    for sl in cone.slices():
-        xb = x[sl]
-        if xb.shape[0] == 1:
-            out[sl] = max(xb[0], 0.0)
-            continue
-        s = float(np.linalg.norm(xb[1:]))
-        s = 0.0 if s < TAIL_ZERO_TOL else s
-        if xb[0] >= s:
-            out[sl] = xb
-        elif xb[0] <= -s:
-            out[sl] = 0.0
-        else:
-            t = 0.5 * (xb[0] + s)
-            out[sl][0] = t
-            out[sl][1:] = (t / s) * xb[1:]
-    return out
 
 
 def _reference_cone_membership(x, cone, tol):
@@ -421,6 +445,13 @@ def finite_cone_and_vector(draw):
     return cone, np.array(x, dtype=float)
 
 
+@st.composite
+def finite_cone_and_pair(draw):
+    cone, x = draw(finite_cone_and_vector())
+    y = draw(st.lists(finite_entries, min_size=cone.dim, max_size=cone.dim))
+    return cone, x, np.array(y, dtype=float)
+
+
 # size-1 blocks with signed zeros; zero tails; tails with norm just below, at
 # and above TAIL_ZERO_TOL; a head on the boundary of K and of -K
 FINITE_CASES = [
@@ -444,8 +475,8 @@ def _with_examples(cases):
 
 
 class TestSplitBitwise:
-    """eigenvalues, project_cone and cone_membership keep every IEEE
-    operation and every branch outcome of their reference forms."""
+    """eigenvalues, project_cone, jordan_product and cone_membership keep
+    every IEEE operation and every branch outcome of their reference forms."""
 
     @settings(max_examples=300)
     @given(cone_and_vector())
@@ -477,6 +508,20 @@ class TestSplitBitwise:
         cone, x = case
         with np.errstate(all="ignore"):
             assert _bits(project_kernel(x, cone)) == _bits(_reference_project_cone(x, cone))
+
+    @settings(max_examples=300)
+    @given(finite_cone_and_pair())
+    @_with_examples([(cone, x, x[::-1].copy()) for cone, x in FINITE_CASES] + [
+        # 8 blocks of sizes 1-5, 4-entry tails among them: their heads are
+        # 5-entry ddots, which round unlike a plain sum of the products
+        (ConeStructure((5, 1, 3, 5, 2, 4, 1, 5)),
+         *np.random.default_rng(5).standard_normal((2, 26))),
+    ])
+    def test_jordan_product(self, case):
+        cone, x, y = case
+        with np.errstate(all="ignore"):
+            assert _bits(jordan_product(x, y, cone)) == \
+                _bits(_reference_jordan_product(x, y, cone))
 
     @settings(max_examples=300)
     @given(finite_cone_and_vector())

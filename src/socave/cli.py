@@ -97,6 +97,32 @@ def _indexed_path(path: str, idx: int, total: int) -> str:
     return f"{stem}_{idx:03d}{ext}"
 
 
+def _solve_start(p, cfg, x0, tspan, opts, head: dict, report_tols, out_path):
+    """Integrate from x0 and write its CSV to out_path: (report, printed line,
+    ok). The report starts with head. The trajectory lives only through this
+    call."""
+    t_start = time.perf_counter()
+    traj = integrate(p, cfg, x0, tspan, opts)
+    wall = time.perf_counter() - t_start
+    rnorm = float(traj.residual_norms[-1])  # the last row is the final state
+    report = {
+        **head,
+        "termination": traj.termination.value,
+        "final_state": traj.final_state.tolist(),
+        "final_residual_norm": _finite_or_none(rnorm),
+        "time_to_tolerance": {format(tol, "g"): time_to_tolerance(traj, tol)
+                              for tol in report_tols},
+        "wall_time_s": wall,
+        "n_accepted": traj.n_accepted,
+        "n_rejected": traj.n_rejected,
+        "n_rejected_nonfinite": traj.n_rejected_nonfinite,
+        "n_rhs_evals": traj.n_rhs_evals,
+    }
+    line = f"{head['problem']}: termination={traj.termination.value} final_residual={rnorm:.3e}"
+    write_trajectory_csv(out_path, traj)
+    return report, line, traj.termination in (Termination.REACHED_TF, Termination.RESIDUAL_EVENT)
+
+
 # a residual of finite inputs can overflow: it is reported, not warned about
 @np.errstate(over="ignore", invalid="ignore")
 def cmd_solve(args) -> int:
@@ -112,38 +138,21 @@ def cmd_solve(args) -> int:
         # time_to_tolerance sees only the recorded rows
         raise ValueError("--time-to-tol needs --record-stride 1")
     cert = solvability_certificate(p)  # a size limit raises ValueError
-    name = p.name or (args.problem or args.builtin)
+    head = {"problem": p.name or (args.problem or args.builtin),
+            "certificate": {"sigma_min": _finite_or_none(cert.sigma_min),
+                            "verdict": cert.verdict.value},
+            "gamma": args.gamma,
+            "tspan": list(tspan)}
 
     reports = []
     lines = []
     ok = True
     for i, x0 in enumerate(starts):
-        t_start = time.perf_counter()
-        traj = integrate(p, cfg, x0, tspan, opts)
-        wall = time.perf_counter() - t_start
-        xf = traj.final_state
-        rnorm = float(traj.residual_norms[-1])  # the last row is the final state
-        reports.append({
-            "problem": name,
-            "certificate": {"sigma_min": _finite_or_none(cert.sigma_min),
-                            "verdict": cert.verdict.value},
-            "gamma": args.gamma,
-            "tspan": list(tspan),
-            "termination": traj.termination.value,
-            "final_state": xf.tolist(),
-            "final_residual_norm": _finite_or_none(rnorm),
-            "time_to_tolerance": {format(tol, "g"): time_to_tolerance(traj, tol)
-                                  for tol in report_tols},
-            "wall_time_s": wall,
-            "n_accepted": traj.n_accepted,
-            "n_rejected": traj.n_rejected,
-            "n_rejected_nonfinite": traj.n_rejected_nonfinite,
-            "n_rhs_evals": traj.n_rhs_evals,
-        })
-        lines.append(f"{name}: termination={traj.termination.value} "
-                     f"final_residual={rnorm:.3e}")
-        write_trajectory_csv(_indexed_path(args.out, i, len(starts)), traj)
-        ok = ok and traj.termination in (Termination.REACHED_TF, Termination.RESIDUAL_EVENT)
+        report, line, solved = _solve_start(p, cfg, x0, tspan, opts, head, report_tols,
+                                            _indexed_path(args.out, i, len(starts)))
+        reports.append(report)
+        lines.append(line)
+        ok = ok and solved
 
     write_json(args.report, reports[0] if len(reports) == 1 else reports)
     for line in lines:

@@ -59,22 +59,25 @@ def _maybe_write(out_dir, name, traj):
         write_trajectory_csv(os.path.join(out_dir, name), traj)
 
 
+def _tridiag_run(p: AveProblem, x_star, gamma: float, out_dir) -> dict:
+    """One gamma of run_tridiag_experiment. Its trajectory lives only
+    through this call, not through the next gamma's."""
+    traj = integrate(p, DynamicsConfig(gamma), np.zeros(p.n), TRIDIAG_TSPAN, IntegratorOptions())
+    _maybe_write(out_dir, f"tridiag_n{p.n}_gamma{gamma:g}.csv", traj)
+    return {
+        "gamma": gamma,
+        "termination": traj.termination.value,
+        "final_err_inf": float(np.max(np.abs(traj.final_state - x_star))),
+        "time_to_tol": time_to_tolerance(traj, TRIDIAG_ERR_TOL),
+    }
+
+
 def run_tridiag_experiment(n: int, out_dir=None) -> dict:
     """Tridiagonal instance of dimension n from the zero start, at each of
     TRIDIAG_GAMMAS over TRIDIAG_TSPAN: convergence to the known solution
     and the speed-up from larger gamma."""
     p, x_star = example_tridiag(n)
-    opts = IntegratorOptions()
-    runs = []
-    for gamma in TRIDIAG_GAMMAS:
-        traj = integrate(p, DynamicsConfig(gamma), np.zeros(n), TRIDIAG_TSPAN, opts)
-        runs.append({
-            "gamma": gamma,
-            "termination": traj.termination.value,
-            "final_err_inf": float(np.max(np.abs(traj.final_state - x_star))),
-            "time_to_tol": time_to_tolerance(traj, TRIDIAG_ERR_TOL),
-        })
-        _maybe_write(out_dir, f"tridiag_n{n}_gamma{gamma:g}.csv", traj)
+    runs = [_tridiag_run(p, x_star, gamma, out_dir) for gamma in TRIDIAG_GAMMAS]
     times = [r["time_to_tol"] for r in runs]
     monotone = (all(t is not None for t in times)
                 and all(a > b for a, b in zip(times, times[1:])))

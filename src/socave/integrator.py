@@ -136,31 +136,53 @@ def integrate_ode(f, x0, tspan, opts: IntegratorOptions = IntegratorOptions()) -
     return _integrate(field, x0[None], [as_tspan(tspan)], opts)[0]
 
 
-class _Run:
-    """The state of one row of the step loop, its span, and what it records."""
+# a run's recorded states go into one array that it owns, of RECORD_ROWS
+# rows at first, which doubles each time it is full
+RECORD_ROWS = 16
 
-    __slots__ = ("t", "tf", "near_tf", "h", "x", "rnorm", "times", "states", "res_norms",
+
+class _Run:
+    """The state of one row of the step loop, its span, and what it records.
+
+    Each recorded state is copied into the next row of the run's own array
+    when it is recorded, so no step's array outlives its step."""
+
+    __slots__ = ("t", "tf", "near_tf", "h", "rnorm", "times", "states", "count", "res_norms",
                  "n_accepted", "n_rejected", "n_rejected_nonfinite", "termination")
 
     def __init__(self, tspan, x, rnorm):
         t0, self.tf = tspan
-        self.t, self.x, self.rnorm = t0, x, rnorm
         self.h = max(0.01 * (self.tf - t0), H_MIN)
         # robust endpoint test: floating accumulation can leave t a few ulps
         # short of tf after the final truncated step
         self.near_tf = 1e-13 * (self.tf - t0)
-        self.times, self.states, self.res_norms = [t0], [x], [rnorm]
+        self.states = np.empty((RECORD_ROWS, x.size))
+        self.times, self.res_norms, self.count = [], [], 0
         self.n_accepted = self.n_rejected = self.n_rejected_nonfinite = 0
         self.termination = None
+        self.t, self.rnorm = t0, rnorm
+        self.record(x)
 
-    def trajectory(self, record_stride: int) -> Trajectory:
-        if self.n_accepted % record_stride:  # the last accepted state, if not yet recorded
-            self.times.append(self.t)
-            self.states.append(self.x)
-            self.res_norms.append(self.rnorm)
+    def record(self, x):
+        """Record x, the state at self.t with residual norm self.rnorm."""
+        if self.count == len(self.states):
+            # in place: no view of the array exists while the run records
+            self.states.resize((2 * self.count, x.size), refcheck=False)
+        self.states[self.count] = x
+        self.count += 1
+        self.times.append(self.t)
+        self.res_norms.append(self.rnorm)
+
+    def finish(self, x, stride: int):
+        """At termination: record x, the last accepted state, if it is not yet."""
+        if self.n_accepted % stride:
+            self.record(x)
+
+    def trajectory(self) -> Trajectory:
+        self.states.resize((self.count, self.states.shape[1]), refcheck=False)
         return Trajectory(
             times=np.asarray(self.times),
-            states=np.asarray(self.states),
+            states=self.states,
             residual_norms=np.asarray(self.res_norms),
             termination=self.termination,
             n_accepted=self.n_accepted,
@@ -200,9 +222,6 @@ def _integrate(field, x0: np.ndarray, tspans: list, opts: IntegratorOptions,
     call = field if rows is None else lambda t, y: field(t, y, rows)
     fx, aux = call(tspans[0][0] if len(x) == 1 else np.array([[t0] for t0, _ in tspans]), x)
     stop, stride = opts.stop_on_residual, opts.record_stride
-    # states are never mutated: they are rows of x0 or of the x_high of a
-    # step, which the loop makes afresh and never writes to. A recorded row
-    # keeps its whole batch array alive until the trajectories are built
     runs = [_Run(tspan, row, math.sqrt(a.dot(a)))  # np.linalg.norm's arithmetic
             for tspan, row, a in zip(tspans, x, aux)]
     for run in runs:
@@ -213,8 +232,9 @@ def _integrate(field, x0: np.ndarray, tspans: list, opts: IntegratorOptions,
     attempts = 0  # the same for every row still running
     while live:
         if attempts >= opts.max_steps:
-            for run in live:
+            for run, row in zip(live, x):
                 run.termination = Termination.MAX_STEPS
+                run.finish(row, stride)
             break
         attempts += 1
         h_trials = [min(run.h, run.tf - run.t) for run in live]
@@ -232,7 +252,6 @@ def _integrate(field, x0: np.ndarray, tspans: list, opts: IntegratorOptions,
             if e <= 1.0:
                 n_took += 1
                 run.t = t_new = run.t + h_trial
-                run.x = x_new[i]
                 run.n_accepted += 1
                 a = aux4[i]
                 run.rnorm = rnorm = math.sqrt(a.dot(a))
@@ -241,9 +260,7 @@ def _integrate(field, x0: np.ndarray, tspans: list, opts: IntegratorOptions,
                 elif (run.tf - t_new) <= run.near_tf:
                     run.termination = Termination.REACHED_TF
                 if run.n_accepted % stride == 0:
-                    run.times.append(t_new)
-                    run.states.append(run.x)
-                    run.res_norms.append(rnorm)
+                    run.record(x_new[i])
             else:
                 run.n_rejected += 1
                 if e == math.inf:
@@ -251,7 +268,9 @@ def _integrate(field, x0: np.ndarray, tspans: list, opts: IntegratorOptions,
             run.h = h_trial * _step_factor(e)
             if run.termination is None and run.h < H_MIN:
                 run.termination = Termination.STEP_UNDERFLOW
-            ended = ended or run.termination is not None
+            if run.termination is not None:
+                ended = True
+                run.finish(x_new[i] if e <= 1.0 else x[i], stride)
         if n_took == len(live):
             x, fx = x_new, k4
         elif n_took:
@@ -260,7 +279,7 @@ def _integrate(field, x0: np.ndarray, tspans: list, opts: IntegratorOptions,
         if ended:
             live, x, fx, rows = _running(live, x, fx, rows)
 
-    return [run.trajectory(stride) for run in runs]
+    return [run.trajectory() for run in runs]
 
 
 def integrate_many(p, cfg: DynamicsConfig, starts, tspan,

@@ -1,5 +1,6 @@
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import socave.dynamics
 import socave.integrator
-from socave.dynamics import DynamicsConfig, lyapunov_value, rhs
+from socave.dynamics import DynamicsConfig, lyapunov_value, rhs, rhs_and_residual
 from socave.integrator import (
     H_MIN,
     IntegratorOptions,
@@ -570,3 +571,94 @@ class TestIntegrateMany:
             integrate_many(p, cfg, [[0.0, 1.0], [math.nan, 1.0]], (0.0, 1.0))
         with pytest.raises(ValueError, match="at least one start"):
             integrate_many(p, cfg, [], (0.0, 1.0))
+
+
+class _LiveArrays:
+    """Weak references to every array a field is evaluated at (the base of a
+    view), and the most of them alive at any one evaluation."""
+
+    def __init__(self):
+        self.refs, self.most = [], 0
+
+    def see(self, y):
+        self.refs.append(weakref.ref(y if y.base is None else y.base))
+        self.most = max(self.most, sum(ref() is not None for ref in self.refs))
+
+
+class TestRecording:
+    """Each run copies a recorded state into the next row of one array it
+    owns, which doubles when full: no step's array outlives its step, and the
+    records are those of the reference loop, bit for bit, on either side of
+    each growth."""
+
+    def test_no_step_array_outlives_its_step(self):
+        live = _LiveArrays()
+
+        def f(t, y):
+            live.see(y)
+            return -y
+
+        traj = integrate_ode(f, np.ones(3), (0.0, 20.0))
+        assert traj.n_accepted > 100
+        # the current state, the last attempt's x_high and the array evaluated
+        assert live.most <= 3
+
+    def test_no_step_array_of_a_batch_outlives_its_step(self, monkeypatch):
+        live = _LiveArrays()
+
+        def seeing(p, cfg, x, b=None):
+            live.see(x)
+            return rhs_and_residual(p, cfg, x, b)
+
+        monkeypatch.setattr(socave.integrator, "rhs_and_residual", seeing)
+        p, cfg = example_toy("unique"), DynamicsConfig(2.0)
+        starts = [[2.0, -2.0], [0.0, 1.0 + 1e-9], [3.0, 1.0], [-1.0, 4.0]]
+        opts = IntegratorOptions(stop_on_residual=1e-6, record_stride=3)
+        trajs = integrate_many(p, cfg, starts, (0.0, 5.0), opts)
+        # the rows reject at different attempts, so some steps take only some rows
+        assert len({traj.n_rejected for traj in trajs}) > 1
+        assert sum(len(traj.times) for traj in trajs) > 20
+        assert live.most <= 3  # as for one row
+
+    @pytest.mark.parametrize("stride, extra", [(1, 0), (1, 1), (3, 0), (3, 1)],
+                             ids=["full", "one-more", "full-by-the-last", "one-more-by-the-last"])
+    def test_records_on_either_side_of_the_first_growth(self, stride, extra):
+        # recorded rows: x0, every stride-th accepted state, and the last
+        # accepted state if not yet recorded; f = -y over (0, 2) rejects no
+        # step in the first 60
+        rows = socave.integrator.RECORD_ROWS + extra
+        n_accepted = rows - 1 if stride == 1 else stride * (rows - 2) + 1
+        opts = IntegratorOptions(max_steps=n_accepted, record_stride=stride)
+
+        def f(t, y):
+            return -y
+
+        traj = integrate_ode(f, np.ones(3), (0.0, 2.0), opts)
+        assert (traj.n_accepted, traj.n_rejected, len(traj.times)) == (n_accepted, 0, rows)
+        _assert_same_run(traj, _seed_integrate_ode(f, np.ones(3), (0.0, 2.0), opts))
+
+    def test_records_through_several_growths(self):
+        def f(t, y):
+            return -y
+
+        traj = integrate_ode(f, np.ones(3), (0.0, 20.0))
+        assert len(traj.times) > 8 * socave.integrator.RECORD_ROWS
+        _assert_same_run(traj, _seed_integrate_ode(f, np.ones(3), (0.0, 20.0), IntegratorOptions()))
+        assert traj.states.flags.c_contiguous and traj.states.dtype == np.float64
+
+    def test_a_batch_records_each_row_as_its_own_run(self):
+        # the rows end at different attempts, with records on both sides of
+        # the first growth
+        p, cfg = example_toy("unique"), DynamicsConfig(2.0)
+        starts = [[2.0, -2.0], [0.0, 1.0 + 1e-9], [3.0, 1.0], [-1.0, 4.0], [0.0, 1.0]]
+        opts = IntegratorOptions(stop_on_residual=1e-6)
+        trajs = integrate_many(p, cfg, starts, (0.0, 5.0), opts)
+        rows = sorted(len(traj.times) for traj in trajs)
+        assert rows[0] <= socave.integrator.RECORD_ROWS < rows[-1]
+        assert len({traj.n_accepted + traj.n_rejected for traj in trajs}) > 2
+        for x0, traj in zip(starts, trajs):
+            _assert_same_trajectory(traj, integrate(p, cfg, x0, (0.0, 5.0), opts))
+            ref = _seed_integrate_ode(lambda t, x: rhs(p, cfg, x), x0, (0.0, 5.0), opts,
+                                      lambda x: np.linalg.norm(residual_kernel(p, x)))
+            _assert_same_run(traj, ref)
+            assert traj.states.flags.c_contiguous and traj.states.shape == (len(traj.times), 2)

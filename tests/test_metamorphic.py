@@ -14,13 +14,18 @@ both relations hold bit for bit, step counts included.
   blocks of x among the places of blocks of the same size moves the blocks
   of |x|, P_K(x) and x o y the same way, bit for bit, since every block keeps
   its arithmetic wherever it sits.
+- Cone automorphisms: R = diag(1, Q) on each block, with Q orthogonal, maps
+  each cone block onto itself, so |Rx| = R|x| and P_K(Rx) = R P_K(x), and the
+  problem (R A R^T, R b) from R x0 flows along R x(t). Rounding differs, and
+  so do the step counts (the error norm is not rotation-invariant), so these
+  hold to a tolerance.
 """
 
 import numpy as np
 import pytest
 
 from socave.dynamics import DynamicsConfig
-from socave.integrator import IntegratorOptions, integrate
+from socave.integrator import IntegratorOptions, Termination, integrate
 from socave.model import AveProblem
 from socave.problems import example_tridiag, random_unique
 from socave.soc import ConeStructure, abs_kernel, jordan_product, project_kernel
@@ -111,3 +116,61 @@ def test_permuting_equal_size_blocks_commutes_with_the_jordan_product():
     perm = block_permutation(cone)
     assert jordan_product(x[perm], y[perm], cone).tobytes() == \
         jordan_product(x, y, cone)[perm].tobytes()
+
+
+def block_rotation(cone, seed):
+    """R = diag(1, Q_b) over the blocks b of cone, with each Q_b orthogonal,
+    from the QR of a seeded normal matrix."""
+    rng = np.random.default_rng(seed)
+    R = np.zeros((cone.dim, cone.dim))
+    for sl in cone.slices():
+        m = sl.stop - sl.start
+        R[sl.start, sl.start] = 1.0
+        if m > 1:
+            R[sl.start + 1:sl.stop, sl.start + 1:sl.stop] = \
+                np.linalg.qr(rng.standard_normal((m - 1, m - 1)))[0]
+    return R
+
+
+# few blocks, so one row takes abs_kernel block by block (_split), and a
+# batch takes every row through the groups
+ROTATED_CONE = ConeStructure((1, 2, 3, 4, 5))
+
+
+def rotation_inputs(rows):
+    """x of rows rows (one vector if rows is None) with blocks in K, in -K,
+    with a zero tail and neither."""
+    cone = ROTATED_CONE
+    shape = (cone.dim,) if rows is None else (rows, cone.dim)
+    x = np.random.default_rng(5).standard_normal(shape)
+    x[..., 1] = 0.0  # the 2-block with a zero tail
+    x[..., 3] += 4.0  # the 3-block in K
+    x[..., 6] -= 4.0  # the 4-block in -K
+    return cone, x
+
+
+@pytest.mark.parametrize("rows", [None, 4], ids=["one-row", "batch"])
+@pytest.mark.parametrize("kernel", [abs_kernel, project_kernel], ids=["abs", "project"])
+def test_a_cone_automorphism_commutes_with_the_kernel(kernel, rows):
+    cone, x = rotation_inputs(rows)
+    R = block_rotation(cone, 6)
+    assert not np.allclose(R, np.eye(cone.dim))
+    np.testing.assert_allclose(kernel(x @ R.T, cone), kernel(x, cone) @ R.T,
+                               rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("blocks", [(1, 2, 3, 4, 5), (3,) * 9 + (1,)],
+                         ids=["by-block", "grouped"])
+def test_a_cone_automorphism_rotates_the_trajectory(blocks):
+    # (1, 2, 3, 4, 5) takes abs_kernel block by block, nine 3-blocks take
+    # one grouped pass
+    cone = ConeStructure(blocks)
+    p, _ = random_unique(cone.dim, cone, 0.5, 8)
+    R = block_rotation(cone, 9)
+    rotated = AveProblem(R @ p.A.array @ R.T, R @ p.b, cone)
+    x0 = np.linspace(-2.0, 2.0, p.n)
+    cfg, tspan, opts = DynamicsConfig(1.0), (0.0, 2.0), IntegratorOptions(rtol=1e-8)
+    ref = integrate(p, cfg, x0, tspan, opts)
+    traj = integrate(rotated, cfg, R @ x0, tspan, opts)
+    assert ref.termination is traj.termination is Termination.REACHED_TF
+    np.testing.assert_allclose(traj.final_state, R @ ref.final_state, rtol=0.0, atol=1e-7)

@@ -47,9 +47,7 @@ def rhs_and_residual(p: AveProblem, cfg: DynamicsConfig, x: np.ndarray,
     the evaluation it already made, so r is never computed twice. x is not
     validated, so a non-finite stage yields a rejected step.
     """
-    # residual_kernel(p, x) stays the call of a one-problem field, the form a
-    # stand-in kernel (say, a counting one in a test) may take
-    r = residual_kernel(p, x) if b is None else residual_kernel(p, x, b)
+    r = residual_kernel(p, x, b)
     return -cfg.gamma * p.A.rmatvec(r), r
 
 

@@ -20,7 +20,8 @@ from .linalg import as_count, as_positive, as_tspan, as_vector
 from .model import AveProblem
 
 
-# the step-size floor: a step size below it ends the run in STEP_UNDERFLOW
+# the step-size floor: a step size below it, or one that would not move t,
+# ends the run in STEP_UNDERFLOW
 H_MIN = 1e-14
 
 
@@ -129,11 +130,11 @@ def integrate_ode(f, x0, tspan, opts: IntegratorOptions = IntegratorOptions()) -
     """
     x0 = as_vector(x0)
 
-    def field(t, x):  # x is a batch of one row; f sees it as a vector
+    def field(t, x, _rows):  # x is a batch of one row; f sees it as a vector
         v = f(t, x[0])[None]
         return v, v
 
-    return _integrate(field, x0[None], [as_tspan(tspan)], opts)[0]
+    return _integrate(field, x0[None], [as_tspan(tspan)], opts, np.empty((1, 0)))[0]
 
 
 # a run's recorded states go into one array that it owns, of RECORD_ROWS
@@ -173,11 +174,6 @@ class _Run:
         self.times.append(self.t)
         self.res_norms.append(self.rnorm)
 
-    def finish(self, x, stride: int):
-        """At termination: record x, the last accepted state, if it is not yet."""
-        if self.n_accepted % stride:
-            self.record(x)
-
     def trajectory(self) -> Trajectory:
         self.states.resize((self.count, self.states.shape[1]), refcheck=False)
         return Trajectory(
@@ -192,26 +188,26 @@ class _Run:
 
 
 def _running(runs: list[_Run], *rows):
-    """The runs not yet terminated, and the matching rows of each array (None
-    stays None)."""
+    """The runs not yet terminated, and the matching rows of each array."""
     keep = [i for i, run in enumerate(runs) if run.termination is None]
-    return [runs[i] for i in keep], *(a if a is None else a[keep] for a in rows)
+    return [runs[i] for i in keep], *(a[keep] for a in rows)
 
 
 # non-finite values are not errors here, from x0 on: a non-finite stage is
 # a rejected step
 @np.errstate(over="ignore", invalid="ignore")
 def _integrate(field, x0: np.ndarray, tspans: list, opts: IntegratorOptions,
-               rows: np.ndarray | None = None) -> list[Trajectory]:
+               rows: np.ndarray) -> list[Trajectory]:
     """The step loop: one trajectory per row of the (k, n) batch x0, the row
-    i over the validated span tspans[i], for a field(t, x) -> (dx/dt, aux)
-    of a batch x. With rows, an array with one row per start, the field is
-    field(t, x, rows) and gets the rows of the starts still running.
+    i over the validated span tspans[i], for a field(t, x, rows) ->
+    (dx/dt, aux) of a batch x, where rows, an array with one row per start
+    (say, each start's b), comes filtered to the starts still running.
 
     The rows still running are stepped together, but each has its own t,
     span, step size, error test, counters, records and termination, and
     leaves the batch when it terminates: each trajectory is the one its row
-    gives as a batch of one. t and h go to rk23_step as floats for one row,
+    gives as a batch of one. A run ends in STEP_UNDERFLOW before a step that
+    would not move its t. t and h go to rk23_step as floats for one row,
     whose scalar arithmetic is cheaper, and as (k, 1) columns for more. The
     recorded norm is ||aux|| of the evaluation at the recorded state. The
     field runs once on x0, then three times per attempt on the rows still
@@ -219,7 +215,7 @@ def _integrate(field, x0: np.ndarray, tspans: list, opts: IntegratorOptions,
     """
     x = np.array(x0, dtype=float)
     # rows is looked up at each call, so the stages see it filtered
-    call = field if rows is None else lambda t, y: field(t, y, rows)
+    call = lambda t, y: field(t, y, rows)
     fx, aux = call(tspans[0][0] if len(x) == 1 else np.array([[t0] for t0, _ in tspans]), x)
     stop, stride = opts.stop_on_residual, opts.record_stride
     runs = [_Run(tspan, row, math.sqrt(a.dot(a)))  # np.linalg.norm's arithmetic
@@ -227,16 +223,14 @@ def _integrate(field, x0: np.ndarray, tspans: list, opts: IntegratorOptions,
     for run in runs:
         if stop is not None and run.rnorm <= stop:
             run.termination = Termination.RESIDUAL_EVENT
+        elif run.t + run.h == run.t:
+            run.termination = Termination.STEP_UNDERFLOW
     live, x, fx, rows = _running(runs, x, fx, rows)
 
     attempts = 0  # the same for every row still running
     while live:
-        if attempts >= opts.max_steps:
-            for run, row in zip(live, x):
-                run.termination = Termination.MAX_STEPS
-                run.finish(row, stride)
-            break
         attempts += 1
+        out_of_steps = attempts == opts.max_steps
         h_trials = [min(run.h, run.tf - run.t) for run in live]
         if len(live) == 1:
             t, h = live[0].t, h_trials[0]
@@ -266,11 +260,15 @@ def _integrate(field, x0: np.ndarray, tspans: list, opts: IntegratorOptions,
                 if e == math.inf:
                     run.n_rejected_nonfinite += 1
             run.h = h_trial * _step_factor(e)
-            if run.termination is None and run.h < H_MIN:
-                run.termination = Termination.STEP_UNDERFLOW
+            if run.termination is None:
+                if run.h < H_MIN or run.t + run.h == run.t:
+                    run.termination = Termination.STEP_UNDERFLOW
+                elif out_of_steps:
+                    run.termination = Termination.MAX_STEPS
             if run.termination is not None:
                 ended = True
-                run.finish(x_new[i] if e <= 1.0 else x[i], stride)
+                if run.n_accepted % stride:  # the last accepted state is not yet recorded
+                    run.record(x_new[i] if e <= 1.0 else x[i])
         if n_took == len(live):
             x, fx = x_new, k4
         elif n_took:
@@ -296,20 +294,18 @@ def integrate_many(p, cfg: DynamicsConfig, starts, tspan,
     starts = list(starts)
     if not starts:
         raise ValueError("integrate_many needs at least one start")
-    b = None
-    if not isinstance(p, AveProblem):
-        problems = _one_per_start(p, len(starts), "problems")
-        p = problems[0]
-        if any(q.A != p.A or q.cone != p.cone for q in problems):
-            raise ValueError("the problems of one batch must share A and the cone")
-        b = np.array([q.b for q in problems])
+    if isinstance(p, AveProblem):
+        p = [p] * len(starts)
+    problems = _one_per_start(p, len(starts), "problems")
+    p = problems[0]
+    if any(q is not p and (q.A != p.A or q.cone != p.cone) for q in problems):
+        raise ValueError("the problems of one batch must share A and the cone")
+    b = np.array([q.b for q in problems])
     x0 = np.array([as_vector(x, p.n) for x in starts])
     if np.ndim(tspan) == 2:
         tspans = [as_tspan(s) for s in _one_per_start(tspan, len(starts), "spans")]
     else:
         tspans = [as_tspan(tspan)] * len(starts)
-    if b is None:
-        return _integrate(lambda t, x: rhs_and_residual(p, cfg, x), x0, tspans, opts)
     return _integrate(lambda t, x, b: rhs_and_residual(p, cfg, x, b), x0, tspans, opts, b)
 
 

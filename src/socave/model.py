@@ -72,10 +72,7 @@ def residual_kernel(p: AveProblem, x: np.ndarray, b: np.ndarray | None = None) -
     per row; non-finite entries give a non-finite residual instead of an
     error. b, if given, is a (k, p.n) array whose rows replace p.b, one per
     row of x: a batch of problems that share A and the cone."""
-    if b is None:
-        # b as a row: numpy's fast same-shape loop for a batch of one row
-        b = p.b if x.ndim == 1 else p.b[None]
-    return p.A.matvec(x) - abs_kernel(x, p.cone) - b
+    return p.A.matvec(x) - abs_kernel(x, p.cone) - (p.b if b is None else b)
 
 
 def qf_maps(p: AveProblem, x) -> tuple[np.ndarray, np.ndarray]:

@@ -248,6 +248,15 @@ class TestGenericOde:
         assert 10 < ratio1 < 1000
         assert 10 < ratio2 < 1000
 
+    @pytest.mark.parametrize("width", [1e7, 65536.0, 16384.0])
+    @pytest.mark.parametrize("f", [lambda t, y: -y, lambda t, y: 0.0 * y], ids=["decay", "zero"])
+    def test_a_step_that_cannot_move_t_is_not_taken(self, f, width):
+        # the ulp of 1e20 is 16384: a step under half of it leaves t where it
+        # was, and the initial step of the two narrower spans is one
+        traj = integrate_ode(f, np.ones(2), (1e20, 1e20 + width), IntegratorOptions(max_steps=1000))
+        assert np.all(np.diff(traj.times) > 0.0)
+        assert traj.termination in (Termination.STEP_UNDERFLOW, Termination.REACHED_TF)
+
 
 class TestTimeToTolerance:
     def test_start_at_solution(self):
@@ -442,9 +451,9 @@ class TestFsalStepLoop:
     def test_residual_computed_only_inside_field_evaluations(self, case, monkeypatch):
         calls = []
 
-        def counting_kernel(p, x):
+        def counting_kernel(p, x, b=None):
             calls.append(1)
-            return residual_kernel(p, x)
+            return residual_kernel(p, x, b)
 
         monkeypatch.setattr(socave.dynamics, "residual_kernel", counting_kernel)
         if case == "tridiag":

@@ -13,7 +13,8 @@ both relations hold bit for bit, step counts included.
 - Block permutation: the cone kernels act on each block alone, so moving
   blocks of x among the places of blocks of the same size moves the blocks
   of |x|, P_K(x) and x o y the same way, bit for bit, since every block keeps
-  its arithmetic wherever it sits.
+  its arithmetic wherever it sits. The problem (P A P^T, P b) from P x0
+  then flows along P x(t), to a tolerance, as the matvecs sum in another order.
 - Cone automorphisms: R = diag(1, Q) on each block, with Q orthogonal, maps
   each cone block onto itself, so |Rx| = R|x| and P_K(Rx) = R P_K(x), and the
   problem (R A R^T, R b) from R x0 flows along R x(t). Rounding differs, and
@@ -107,6 +108,22 @@ def test_permuting_equal_size_blocks_commutes_with_the_kernel(kernel, rows):
     perm = block_permutation(cone)
     assert not np.array_equal(perm, np.arange(cone.dim))
     assert kernel(x[..., perm], cone).tobytes() == kernel(x, cone)[..., perm].tobytes()
+
+
+def test_permuting_equal_size_blocks_permutes_the_trajectory():
+    # P x = x[perm] and P A P^T = A[perm][:, perm]: the problem (P A P^T, P b)
+    # from P x0 flows along P x(t). The matvecs sum in another order, so the
+    # relation holds to a tolerance; one row of this cone takes the groups
+    cone = PERMUTED_CONE
+    p, _ = random_unique(cone.dim, cone, 0.5, 10)
+    perm = block_permutation(cone)
+    permuted = AveProblem(p.A.array[np.ix_(perm, perm)], p.b[perm], cone)
+    x0 = np.linspace(-2.0, 2.0, p.n)
+    cfg, tspan, opts = DynamicsConfig(1.0), (0.0, 2.0), IntegratorOptions(rtol=1e-8)
+    ref = integrate(p, cfg, x0, tspan, opts)
+    traj = integrate(permuted, cfg, x0[perm], tspan, opts)
+    assert ref.termination is traj.termination is Termination.REACHED_TF
+    np.testing.assert_allclose(traj.final_state, ref.final_state[perm], rtol=0.0, atol=1e-7)
 
 
 def test_permuting_equal_size_blocks_commutes_with_the_jordan_product():

@@ -9,7 +9,8 @@ Exit codes: 0 success, 1 malformed input or an output that cannot be
 written, 2 non-convergence / failed suite criterion, 3 verification failure.
 main is the one error boundary: a bad input, or an output that cannot be
 created or written (in either process of the suite), is one "error:" line on
-stderr and exit 1; any other exception is a bug and propagates.
+stderr and exit 1; any other exception is a bug and propagates. run is the
+process entry point: it ends the process at main's last write.
 """
 
 from __future__ import annotations
@@ -255,5 +256,22 @@ def main(argv=None) -> int:
     return 1
 
 
+def run() -> None:
+    """The entry point of `python -m socave.cli` and of the console script.
+    It runs main, flushes stdout and stderr, and ends the process with main's
+    code through os._exit. That skips the interpreter's teardown, so no
+    atexit handler runs; every file is closed by its `with` before main
+    returns. An exception from main, SystemExit from -h among them,
+    propagates. A flush that fails, say on a pipe whose reader has gone,
+    leaves the exit to the interpreter, which reports it."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -3,6 +3,7 @@ import errno
 import io
 import json
 import os
+import subprocess
 import sys
 import time
 import warnings
@@ -12,6 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import socave
+from socave import cli
 from socave.cli import main
 from socave.experiments import _fork_alongside
 from socave.model import residual, save_problem
@@ -800,3 +803,143 @@ class TestForkAlongside:
         with pytest.raises(RuntimeError, match="exited with status 1 without a result"):
             _fork_alongside(lambda: (lambda: None), lambda: None)
         assert_no_child_left()
+
+
+SRC = os.path.dirname(os.path.dirname(socave.__file__))
+
+
+def cli_process(argv, cwd, stdout=subprocess.PIPE, **env):
+    """The finished `python -m socave.cli` process on argv, run in cwd with
+    the environment updated by env; a None value removes that variable.
+    Its stdout is buffered, so that its output waits for run's flush."""
+    env = {**os.environ, "PYTHONUNBUFFERED": None, "PYTHONPATH": os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])), **env}
+    env = {k: v for k, v in env.items() if v is not None}
+    return subprocess.run([sys.executable, "-m", "socave.cli", *argv], cwd=cwd, env=env,
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60)
+
+
+def written_files(path):
+    """{name: content} of the files in path, each report with its wall time
+    dropped: the one field that differs between two runs."""
+    files = {}
+    for name in sorted(os.listdir(path)):
+        text = (path / name).read_text()
+        if name == "r.json":
+            text = {k: v for k, v in json.loads(text).items() if k != "wall_time_s"}
+        files[name] = text
+    return files
+
+
+# argv of each exit path of the CLI, with the code it ends in
+PROCESS_CASES = {
+    "solved": (SOLVE, 0),
+    "bad input": (SOLVE[:2] + ["nope"] + SOLVE[3:], 1),
+    # the ulp of 1e20 is 16384, wider than the span: no step can move t
+    "not converged": (SOLVE + ["--tspan", "1e20,1.0000000000001e20"], 2),
+    "not a solution": (["verify", "--builtin", "unique", "--x", "x.json", "--tol", "1e-12"], 3),
+    "help": (["-h"], 0),
+}
+
+
+class TestProcess:
+    """`python -m socave.cli` ends through run, in a process of its own."""
+
+    @pytest.mark.parametrize("argv, code", PROCESS_CASES.values(), ids=PROCESS_CASES.keys())
+    def test_a_process_matches_main_in_process(self, tmp_path, monkeypatch, capsys, argv,
+                                               code):
+        monkeypatch.setenv("COLUMNS", "80")  # the help's width, on both sides
+        for side in ("process", "main"):
+            (tmp_path / side).mkdir()
+            write_vector(tmp_path / side, "x.json", [0.0, 0.0])
+        proc = cli_process(argv, tmp_path / "process")
+        monkeypatch.chdir(tmp_path / "main")
+        try:
+            got = main(argv)
+        except SystemExit as e:  # -h
+            got = e.code
+        out, err = capsys.readouterr()
+        assert (proc.returncode, proc.stdout, proc.stderr) == (got, out, err)
+        assert got == code
+        if code == 1:
+            assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        else:
+            assert out != "" and err == ""
+        assert written_files(tmp_path / "process") == written_files(tmp_path / "main")
+
+    def test_a_closed_stdout_pipe_is_reported_by_the_interpreter(self, tmp_path):
+        # the output first meets the pipe in run's flush
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = cli_process(SOLVE, tmp_path, stdout=w)
+        finally:
+            os.close(w)
+        assert proc.returncode == 120
+        assert "BrokenPipeError" in proc.stderr and "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 2
+
+    def test_verify_overflow_is_silent_under_warnings_as_errors(self, tmp_path):
+        # cmd_verify's errstate covers the one-row cone kernel as well: its
+        # x2.dot(x2) overflows, and it has no errstate of its own
+        write_vector(tmp_path, "x.json", [1e308, 1e308])
+        proc = cli_process(["verify", "--builtin", "unique", "--x", "x.json", "--tol", "1e-8"],
+                           tmp_path, PYTHONWARNINGS="error::RuntimeWarning")
+        assert (proc.returncode, proc.stderr) == (3, "")
+        assert proc.stdout.startswith("residual_norm=nan\n")
+
+
+def record_exits(monkeypatch):
+    """The codes that run passes to os._exit, replaced so that pytest lives
+    on, each with what stdout and stderr had written through by then."""
+    out, err = io.BytesIO(), io.BytesIO()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(out, encoding="utf-8"))
+    monkeypatch.setattr(sys, "stderr", io.TextIOWrapper(err, encoding="utf-8"))
+    calls = []
+    monkeypatch.setattr(cli.os, "_exit", lambda code: calls.append(
+        (code, out.getvalue().decode(), err.getvalue().decode())))
+    return calls
+
+
+class TestRun:
+    """run in-process, through record_exits."""
+
+    @pytest.mark.parametrize("argv, code", [PROCESS_CASES["not a solution"],
+                                            PROCESS_CASES["bad input"]])
+    def test_exits_once_with_mains_code_after_the_flush(self, tmp_path, monkeypatch, capsys,
+                                                         argv, code):
+        monkeypatch.chdir(tmp_path)
+        write_vector(tmp_path, "x.json", [0.0, 0.0])
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        exits = record_exits(monkeypatch)
+        monkeypatch.setattr(sys, "argv", ["socave", *argv])
+        cli.run()
+        assert exits == [(code, out, err)]
+
+    @pytest.mark.parametrize("argv, raised", [(["verify", "--builtin", "unique", "--x", "x.json",
+                                                 "--tol", "1"], RuntimeError),
+                                               (["-h"], SystemExit)])
+    def test_an_exception_from_main_propagates_without_exit(self, monkeypatch, argv, raised):
+        def bug(args):
+            raise RuntimeError("a bug")
+
+        monkeypatch.setattr(cli, "cmd_verify", bug)
+        exits = record_exits(monkeypatch)
+        monkeypatch.setattr(sys, "argv", ["socave", *argv])
+        with pytest.raises(raised):
+            cli.run()
+        assert exits == []
+
+    def test_a_failed_flush_leaves_the_exit_to_the_interpreter(self, tmp_path, monkeypatch):
+        def broken():
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        monkeypatch.chdir(tmp_path)
+        write_vector(tmp_path, "x.json", [0.0, 0.0])
+        exits = record_exits(monkeypatch)
+        monkeypatch.setattr(sys.stdout, "flush", broken)
+        monkeypatch.setattr(sys, "argv", ["socave", *PROCESS_CASES["not a solution"][0]])
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert (exc.value.code, exits) == (3, [])

@@ -135,6 +135,8 @@ def cmd_solve(args) -> int:
                              stop_on_residual=args.stop_residual,
                              record_stride=args.record_stride)
     report_tols = [as_positive(tol, "--time-to-tol") for tol in args.time_to_tol]
+    if len({format(tol, "g") for tol in report_tols}) != len(set(report_tols)):
+        raise ValueError(f"--time-to-tol {args.time_to_tol} holds two values with one report key")
     if report_tols and opts.record_stride != 1:
         # time_to_tolerance sees only the recorded rows
         raise ValueError("--time-to-tol needs --record-stride 1")

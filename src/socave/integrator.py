@@ -148,34 +148,48 @@ class _Run:
     Each recorded state is copied into the next row of the run's own array
     when it is recorded, so no step's array outlives its step."""
 
-    __slots__ = ("t", "tf", "near_tf", "h", "rnorm", "times", "states", "count", "res_norms",
+    __slots__ = ("t", "tf", "near_tf", "h", "rnorm", "times", "states", "res_norms",
                  "n_accepted", "n_rejected", "n_rejected_nonfinite", "termination")
 
-    def __init__(self, tspan, x, rnorm):
+    def __init__(self, tspan, x, rnorm, stop, max_steps):
         t0, self.tf = tspan
         self.h = max(0.01 * (self.tf - t0), H_MIN)
         # robust endpoint test: floating accumulation can leave t a few ulps
         # short of tf after the final truncated step
         self.near_tf = 1e-13 * (self.tf - t0)
         self.states = np.empty((RECORD_ROWS, x.size))
-        self.times, self.res_norms, self.count = [], [], 0
+        self.times, self.res_norms = [], []
         self.n_accepted = self.n_rejected = self.n_rejected_nonfinite = 0
-        self.termination = None
         self.t, self.rnorm = t0, rnorm
         self.record(x)
+        self.termination = self.end(stop, max_steps)
+
+    def end(self, stop, max_steps):
+        """The run's termination, or None while it runs, from its own state,
+        tested in this order: its residual norm at most stop, its t at tf,
+        its next step below H_MIN or unable to move t, and its own count of
+        accepted and rejected steps at max_steps."""
+        if stop is not None and self.rnorm <= stop:
+            return Termination.RESIDUAL_EVENT
+        if self.tf - self.t <= self.near_tf:
+            return Termination.REACHED_TF
+        if self.h < H_MIN or self.t + self.h == self.t:
+            return Termination.STEP_UNDERFLOW
+        if self.n_accepted + self.n_rejected == max_steps:
+            return Termination.MAX_STEPS
+        return None
 
     def record(self, x):
         """Record x, the state at self.t with residual norm self.rnorm."""
-        if self.count == len(self.states):
+        if len(self.times) == len(self.states):
             # in place: no view of the array exists while the run records
-            self.states.resize((2 * self.count, x.size), refcheck=False)
-        self.states[self.count] = x
-        self.count += 1
+            self.states.resize((2 * len(self.states), x.size), refcheck=False)
+        self.states[len(self.times)] = x
         self.times.append(self.t)
         self.res_norms.append(self.rnorm)
 
     def trajectory(self) -> Trajectory:
-        self.states.resize((self.count, self.states.shape[1]), refcheck=False)
+        self.states.resize((len(self.times), self.states.shape[1]), refcheck=False)
         return Trajectory(
             times=np.asarray(self.times),
             states=self.states,
@@ -206,31 +220,23 @@ def _integrate(field, x0: np.ndarray, tspans: list, opts: IntegratorOptions,
     The rows still running are stepped together, but each has its own t,
     span, step size, error test, counters, records and termination, and
     leaves the batch when it terminates: each trajectory is the one its row
-    gives as a batch of one. A run ends in STEP_UNDERFLOW before a step that
-    would not move its t. t and h go to rk23_step as floats for one row,
-    whose scalar arithmetic is cheaper, and as (k, 1) columns for more. The
-    recorded norm is ||aux|| of the evaluation at the recorded state. The
-    field runs once on x0, then three times per attempt on the rows still
-    running.
+    gives as a batch of one. _Run.end decides how each run ends, at its start
+    and after every attempt of its own. t and h go to rk23_step as floats for
+    one row, whose scalar arithmetic is cheaper, and as (k, 1) columns for
+    more. The recorded norm is ||aux|| of the evaluation at the recorded
+    state. The field runs once on x0, then three times per attempt on the
+    rows still running.
     """
     x = np.array(x0, dtype=float)
     # rows is looked up at each call, so the stages see it filtered
     call = lambda t, y: field(t, y, rows)
     fx, aux = call(tspans[0][0] if len(x) == 1 else np.array([[t0] for t0, _ in tspans]), x)
-    stop, stride = opts.stop_on_residual, opts.record_stride
-    runs = [_Run(tspan, row, math.sqrt(a.dot(a)))  # np.linalg.norm's arithmetic
+    stop, max_steps, stride = opts.stop_on_residual, opts.max_steps, opts.record_stride
+    runs = [_Run(tspan, row, math.sqrt(a.dot(a)), stop, max_steps)  # np.linalg.norm's arithmetic
             for tspan, row, a in zip(tspans, x, aux)]
-    for run in runs:
-        if stop is not None and run.rnorm <= stop:
-            run.termination = Termination.RESIDUAL_EVENT
-        elif run.t + run.h == run.t:
-            run.termination = Termination.STEP_UNDERFLOW
     live, x, fx, rows = _running(runs, x, fx, rows)
 
-    attempts = 0  # the same for every row still running
     while live:
-        attempts += 1
-        out_of_steps = attempts == opts.max_steps
         h_trials = [min(run.h, run.tf - run.t) for run in live]
         if len(live) == 1:
             t, h = live[0].t, h_trials[0]
@@ -240,19 +246,14 @@ def _integrate(field, x0: np.ndarray, tspans: list, opts: IntegratorOptions,
         x_new, err, k4, aux4 = rk23_step(call, t, x, h, opts.rtol, opts.atol, fx)
         errs = err.tolist()
         n_took = 0
-        ended = False
         for i, run in enumerate(live):
             e, h_trial = errs[i], h_trials[i]
             if e <= 1.0:
                 n_took += 1
-                run.t = t_new = run.t + h_trial
+                run.t += h_trial
                 run.n_accepted += 1
                 a = aux4[i]
-                run.rnorm = rnorm = math.sqrt(a.dot(a))
-                if stop is not None and rnorm <= stop:
-                    run.termination = Termination.RESIDUAL_EVENT
-                elif (run.tf - t_new) <= run.near_tf:
-                    run.termination = Termination.REACHED_TF
+                run.rnorm = math.sqrt(a.dot(a))
                 if run.n_accepted % stride == 0:
                     run.record(x_new[i])
             else:
@@ -260,21 +261,15 @@ def _integrate(field, x0: np.ndarray, tspans: list, opts: IntegratorOptions,
                 if e == math.inf:
                     run.n_rejected_nonfinite += 1
             run.h = h_trial * _step_factor(e)
-            if run.termination is None:
-                if run.h < H_MIN or run.t + run.h == run.t:
-                    run.termination = Termination.STEP_UNDERFLOW
-                elif out_of_steps:
-                    run.termination = Termination.MAX_STEPS
-            if run.termination is not None:
-                ended = True
-                if run.n_accepted % stride:  # the last accepted state is not yet recorded
-                    run.record(x_new[i] if e <= 1.0 else x[i])
+            run.termination = run.end(stop, max_steps)
+            if run.termination and run.n_accepted % stride:  # the last state is not yet recorded
+                run.record(x_new[i] if e <= 1.0 else x[i])
         if n_took == len(live):
             x, fx = x_new, k4
         elif n_took:
             took = (err <= 1.0)[:, None]
             x, fx = np.where(took, x_new, x), np.where(took, k4, fx)
-        if ended:
+        if any(run.termination for run in live):
             live, x, fx, rows = _running(live, x, fx, rows)
 
     return [run.trajectory() for run in runs]

@@ -91,10 +91,10 @@ def as_positive(v, what: str) -> float:
 
 
 def as_tspan(tspan) -> tuple[float, float]:
-    """Validate and return a time span (t0, tf): two finite times, t0 < tf."""
+    """Validate and return a time span (t0, tf): finite, t0 < tf, tf - t0 finite."""
     t = [_finite(v) for v in tspan]
-    if not (len(t) == 2 and None not in t and t[0] < t[1]):
-        raise ValueError(f"tspan must be two finite times t0 < tf, got {tspan!r}")
+    if not (len(t) == 2 and None not in t and 0.0 < t[1] - t[0] < math.inf):
+        raise ValueError(f"tspan must be two finite times t0 < tf, tf - t0 finite, got {tspan!r}")
     return t[0], t[1]
 
 

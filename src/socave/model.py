@@ -40,6 +40,8 @@ class AveProblem:
         b = as_vector(self.b, A.shape[0], "b").copy()  # the caller's b stays writable
         if self.cone.dim != A.shape[0]:
             raise ValueError("cone dimension must match A")
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a string, got {self.name!r}")
         b.setflags(write=False)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
@@ -165,7 +167,7 @@ def problem_from_dict(d: dict) -> tuple[AveProblem, np.ndarray | None]:
             A = TridiagToeplitz(n, spec["sub"], spec["diag"], spec["sup"])
         else:
             raise ValueError(f"unknown matrix kind {kind!r}")
-        p = AveProblem(A, d["b"], cone, name=str(d.get("name", "")))
+        p = AveProblem(A, d["b"], cone, name=d.get("name", ""))
         x_star = None
         if d.get("x_star") is not None:
             x_star = as_vector(d["x_star"], n, "x_star")

@@ -101,6 +101,23 @@ class TestSolve:
         assert rep["termination"] == "ReachedTf"
         assert rep["time_to_tolerance"]["0.001"] is None
 
+    def test_time_to_tols_that_print_alike_exit_1(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        # both are reported under the key "0.001", where one would hide the other
+        assert main(SOLVE + ["--time-to-tol", "1e-3,1.0000001e-3,1e-2"]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: --time-to-tol [0.001, 0.0010000001, 0.01] holds two values "
+                       "with one report key\n")
+        assert not (tmp_path / "r.json").exists()
+
+    def test_a_repeated_time_to_tol_is_one_key(self, tmp_path):
+        report = tmp_path / "r.json"
+        assert main(["solve", "--builtin", "unique", "--gamma", "2", "--tspan", "0,5",
+                     "--x0", "2,-2", "--time-to-tol", "1e-3,1e-2,0.001,1e-3",
+                     "--out", str(tmp_path / "t.csv"), "--report", str(report)]) == 0
+        times = json.loads(report.read_text())["time_to_tolerance"]
+        assert list(times) == ["0.001", "0.01"] and None not in times.values()
+
     def test_final_residual_is_the_norm_at_the_final_state(self, tmp_path, unique_file):
         # the report takes the last recorded norm, which a stride does not skip
         report = tmp_path / "r.json"
@@ -372,6 +389,24 @@ class TestSchemaNumbers:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {problem}: {field} must be a finite number")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("name, shown", [("null", "None"), ("[1, 2]", "[1, 2]"),
+                                             ("7", "7"), ("false", "False")])
+    def test_a_name_that_is_not_a_string_exits_1(self, tmp_path, capsys, name, shown):
+        # not a name made of its text, such as "None" or "[1, 2]"
+        problem = tmp_path / "p.json"
+        problem.write_text(problem_text()[:-1] + f', "name": {name}}}')
+        assert main(["solve", "--problem", str(problem), "--gamma", "2", "--tspan", "0,1",
+                     "--out", str(tmp_path / "t.csv"), "--report", str(tmp_path / "r.json")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {problem}: name must be a string, got {shown}\n"
+
+    def test_a_string_name_is_the_report_problem(self, tmp_path):
+        problem, report = tmp_path / "p.json", tmp_path / "r.json"
+        problem.write_text(problem_text()[:-1] + ', "name": "toy one"}')
+        assert main(["solve", "--problem", str(problem), "--gamma", "2", "--tspan", "0,1",
+                     "--out", str(tmp_path / "t.csv"), "--report", str(report)]) == 0
+        assert json.loads(report.read_text())["problem"] == "toy one"
 
     @pytest.mark.parametrize("depth", [990, 100_000])
     def test_deeply_nested_json_exits_1(self, tmp_path, unique_file, capsys, depth):

@@ -125,6 +125,13 @@ class TestLyapunov:
             rate = lyapunov_rate(p, cfg, x, x_star)
             assert rate <= -math.exp(d2) * r2 + 1e-8
 
+    @pytest.mark.parametrize("a, rate", [(2.0, -math.inf), (0.5, math.inf), (0.0, 0.0)])
+    def test_rate_past_the_exp_overflow_is_the_sign_of_the_inner_product(self, a, rate):
+        # A = [a] on one 1-block, x* = 0 and x = 30 (900 > EXP_OVERFLOW):
+        # (x - x*)^T A^T r(x) = 900 a (a - 1) is > 0, < 0 and == 0
+        p = AveProblem([[a]], [0.0], ConeStructure((1,)))
+        assert lyapunov_rate(p, GAMMA2, np.array([30.0]), np.array([0.0])) == rate
+
     def test_rate_rejects_fake_solution(self):
         p = example_toy("unique")
         with pytest.raises(ValueError):

@@ -544,6 +544,36 @@ class TestIntegrateMany:
             assert traj.termination is Termination.MAX_STEPS
             assert traj.n_accepted + traj.n_rejected == 7
 
+    @pytest.mark.parametrize("max_steps", [1, 2, 1000])
+    def test_a_batch_that_ends_each_row_its_own_way_is_each_row_alone(self, max_steps):
+        # one row starts at the solution and one where a step cannot move t
+        # (the ulp of 1e20 is 16384); the other three are cut by max_steps 1
+        # and 2, and at 1000 two of them reach tf off the record stride
+        cone, stride = ConeStructure((1, 2, 3)), 3
+        p, x_star = random_unique(cone.dim, cone, 0.5, 7)
+        cfg = DynamicsConfig(1.0)
+        starts = [x_star, np.ones(p.n), np.ones(p.n), -np.ones(p.n), 2.0 * np.ones(p.n)]
+        spans = [(0.0, 10.0), (1e20, 1e20 + 1e5), (0.0, 100.0), (0.0, 0.3), (0.0, 10.0)]
+        opts = IntegratorOptions(stop_on_residual=1e-8, record_stride=stride,
+                                 max_steps=max_steps)
+        trajs = integrate_many(p, cfg, starts, spans, opts)
+        for x0, tspan, traj in zip(starts, spans, trajs):
+            _assert_same_trajectory(traj, integrate(p, cfg, x0, tspan, opts))
+        at_start, cannot_move, *moving = trajs
+        assert at_start.termination is Termination.RESIDUAL_EVENT
+        assert cannot_move.termination is Termination.STEP_UNDERFLOW
+        for traj in (at_start, cannot_move):
+            assert traj.n_accepted + traj.n_rejected == 0 and len(traj.times) == 1
+        for traj in moving:
+            if max_steps < 1000:
+                assert traj.termination is Termination.MAX_STEPS
+                assert traj.n_accepted + traj.n_rejected == max_steps
+            else:
+                assert traj.termination is Termination.REACHED_TF
+            # every stride-th accepted state, and the last one off the stride
+            assert len(traj.times) == 1 + math.ceil(traj.n_accepted / stride)
+        assert any(traj.n_accepted % stride for traj in moving)
+
     def test_a_batch_of_several_problems_is_each_row_alone(self):
         # the suite's three toys share A and the cone; each row has its own
         # b and span, and the rows leave the batch at different attempts

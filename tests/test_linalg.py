@@ -90,6 +90,14 @@ class TestValidators:
         with pytest.raises(ValueError, match="tspan must be two finite times"):
             as_tspan(tspan)
 
+    @pytest.mark.parametrize("tspan", [(-1e308, 1e308), (-1.7e308, 0.2e308)])
+    def test_tspan_rejects_a_width_past_the_float_range(self, tspan):
+        # with tf - t0 = inf the first step is inf, so every attempt fails, and
+        # the endpoint tolerance 1e-13 * (tf - t0) is inf, so t0 would pass as tf
+        with pytest.raises(ValueError, match="tf - t0 finite"):
+            as_tspan(tspan)
+        assert as_tspan((-0.8e308, 0.8e308)) == (-0.8e308, 0.8e308)
+
 
 # numbers, and values that are not finite real numbers or are bools; and the
 # numpy dtypes whose arrays the rule takes whole (float32, int64) or entry by

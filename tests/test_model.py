@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,6 +31,11 @@ def unique():
 @pytest.fixture
 def multi():
     return example_toy("multi")
+
+
+def test_a_must_be_square():
+    with pytest.raises(ValueError, match="A must be square"):
+        AveProblem(np.ones((2, 3)), [0.0, 0.0], ConeStructure((2,)))
 
 
 class TestResidual:
@@ -208,6 +214,24 @@ class TestJsonSchema:
              "A": {"kind": "dense", "entries": [[1, 0], [0, 1]]}, "b": [0, 0]}
         with pytest.raises(ValueError, match="shape"):
             problem_from_dict(d)
+
+    @pytest.mark.parametrize("name", [None, [1, 2], 7, True, {}])
+    def test_name_must_be_a_string(self, unique, name):
+        d = problem_to_dict(unique)
+        d["name"] = name
+        message = f"name must be a string, got {re.escape(repr(name))}"
+        with pytest.raises(ValueError, match=message):
+            problem_from_dict(d)
+        with pytest.raises(ValueError, match=message):  # so save_problem never writes one
+            AveProblem(unique.A, unique.b, unique.cone, name=name)
+
+    def test_a_string_name_round_trips(self, tmp_path, unique):
+        path = tmp_path / "p.json"
+        save_problem(path, AveProblem(unique.A, unique.b, unique.cone, name="toy [1, 2]"))
+        assert load_problem(path)[0].name == "toy [1, 2]"
+        d = problem_to_dict(unique)
+        del d["name"]
+        assert problem_from_dict(d)[0].name == ""
 
     def test_dense_b_must_match_n(self):
         d = {"n": 2, "cone_blocks": [2],

@@ -116,6 +116,10 @@ class TestRandomUnique:
         with pytest.raises(ValueError, match="n must be an integer >= 1"):
             random_unique(n, ConeStructure(blocks), 0.5, 1)
 
+    def test_rejects_blocks_that_do_not_partition_r_n(self):
+        with pytest.raises(ValueError, match=r"blocks must partition R\^n"):
+            random_unique(4, ConeStructure((3,)), 0.5, 1)
+
     def test_integer_valued_float_size_is_the_int(self):
         (p, x_star), (q, y_star) = (random_unique(n, ConeStructure((2,)), 0.5, 1)
                                     for n in (2.0, 2))

@@ -73,6 +73,10 @@ class TestSpectralDecompose:
         d = spectral_decompose(np.zeros(2))
         assert (d.lam1, d.lam2) == (0.0, 0.0)
 
+    def test_rejects_a_block_of_size_1(self):
+        with pytest.raises(ValueError, match="block size >= 2"):
+            spectral_decompose(np.array([1.0]))
+
     @given(finite_vectors(4))
     def test_reconstruction_and_frame_invariants(self, x):
         d = spectral_decompose(x)

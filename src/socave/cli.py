@@ -184,9 +184,6 @@ def cmd_verify(args) -> int:
 def cmd_suite(args) -> int:
     from .experiments import run_paper_suite
 
-    os.makedirs(args.out_dir, exist_ok=True)
-    if not os.access(args.out_dir, os.W_OK | os.X_OK):
-        raise ValueError(f"cannot write {args.out_dir}: directory is not writable")
     summary = run_paper_suite(out_dir=args.out_dir)
     path = os.path.join(args.out_dir, "summary.json")
     write_json(path, summary)

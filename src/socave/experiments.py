@@ -1,8 +1,8 @@
 """Reproduction of the reference experiments with machine-checkable assertions.
 
 Each run_* function returns a plain dict of measurements plus pass/fail
-flags; run_paper_suite combines them into one summary and optionally
-writes a CSV per trajectory. Everything here is deterministic.
+flags; run_paper_suite(out_dir) makes and checks its directory, writes a
+CSV per trajectory there and sums them up. Everything is deterministic.
 """
 
 from __future__ import annotations
@@ -131,18 +131,18 @@ def run_toy_experiment(name: str, out_dir=None, trajs=None) -> dict:
     return {"name": name, "runs": runs, "all_ok": all(r["ok"] for r in runs)}
 
 
-def run_toy_experiments(names, out_dir=None) -> dict:
-    """{name: run_toy_experiment(name, out_dir)} for the 2-d instances
-    named, with the starts of every grid stepped as one batch: the instances
-    share A and the cone, and each row has its own b and span."""
-    problems = {name: example_toy(name) for name in names}
-    grids = [_toy_grid(name) for name in names]
-    rows = [name for name, grid in zip(names, grids) for _ in grid]
+def run_toy_experiments(out_dir) -> dict:
+    """{name: run_toy_experiment(name, out_dir)} for the 2-d instances of
+    TOY_RHS, with the starts of every grid stepped as one batch: the
+    instances share A and the cone, and each row has its own b and span."""
+    problems = {name: example_toy(name) for name in TOY_RHS}
+    grids = [_toy_grid(name) for name in TOY_RHS]
+    rows = [name for name, grid in zip(TOY_RHS, grids) for _ in grid]
     trajs = integrate_many([problems[name] for name in rows], DynamicsConfig(TOY_GAMMA),
                            np.concatenate(grids), [TOY_TSPANS[name] for name in rows],
                            IntegratorOptions())
     results, k = {}, 0
-    for name, grid in zip(names, grids):
+    for name, grid in zip(TOY_RHS, grids):
         results[name] = run_toy_experiment(name, out_dir, trajs[k:k + len(grid)])
         k += len(grid)
     return results
@@ -196,8 +196,9 @@ def _fork_alongside(child, here):
     return theirs, mine
 
 
-def run_paper_suite(out_dir=None) -> dict:
-    """Full reference-experiment suite; returns summary with per-criterion flags.
+def run_paper_suite(out_dir) -> dict:
+    """Full reference-experiment suite, its CSVs written to out_dir, which it
+    makes and checks first; returns summary with per-criterion flags.
 
     The experiments are independent of each other, so a child forked first
     runs the n = 1000 tridiagonal one and writes its CSVs, while this
@@ -205,15 +206,16 @@ def run_paper_suite(out_dir=None) -> dict:
     the child's result dict comes back. The outputs are those of a serial
     run. A failure in the child is raised here.
     """
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(out_dir, exist_ok=True)
+    if not os.access(out_dir, os.W_OK | os.X_OK):
+        raise ValueError(f"cannot write {out_dir}: directory is not writable")
 
     # run_tridiag_experiment is looked up at each call, so a replacement
     # bound in this module before the fork runs in both processes; n goes by
     # keyword, which such a replacement may read
     def here():
         small = run_tridiag_experiment(n=100, out_dir=out_dir)
-        return small, run_toy_experiments(TOY_RHS, out_dir=out_dir)
+        return small, run_toy_experiments(out_dir=out_dir)
 
     tridiag_large, (tridiag_small, toys) = _fork_alongside(
         lambda: run_tridiag_experiment(n=1000, out_dir=out_dir), here)

@@ -141,12 +141,10 @@ class DenseOperator:
 
 def _correlate_rows(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Entries 1..n of the full correlation with kernel (of length 3) of a
-    vector x, or of each row of a (k, n) batch x. A batch of one row is a
-    view of its one correlation, with no copy."""
-    if x.ndim == 1:
-        return np.correlate(x, kernel, "full")[1:-1]
-    if len(x) == 1:
-        return np.correlate(x[0], kernel, "full")[None, 1:-1]
+    vector x, or of each row of a (k, n) batch x. A vector or a batch of one
+    row is a view of its one correlation, with no copy."""
+    if x.ndim == 1 or len(x) == 1:
+        return np.correlate(x.ravel(), kernel, "full")[1:-1].reshape(x.shape)
     return np.stack([np.correlate(row, kernel, "full")[1:-1] for row in x])
 
 

@@ -89,9 +89,10 @@ class Membership(enum.Enum):
 def _split(x: np.ndarray, i: int, tail: slice):
     """(x1, s, x2) of the block of x with head index i: x2 = x[tail] and
     s = ||x2||, taken as 0 below TAIL_ZERO_TOL. s is sqrt(x2 . x2), the
-    arithmetic of np.linalg.norm for a real vector."""
+    arithmetic of np.linalg.norm for a real vector, by np.vdot: the ddot of
+    x2.dot(x2) without its floating-point check, so an overflow is silent."""
     x2 = x[tail]
-    s = math.sqrt(x2.dot(x2))
+    s = math.sqrt(np.vdot(x2, x2))
     return x[i], (0.0 if s < TAIL_ZERO_TOL else s), x2
 
 
@@ -185,9 +186,9 @@ def _abs_into(x: np.ndarray, cone: ConeStructure, out: np.ndarray) -> None:
             np.multiply(0.5 * (hi - lo) / s, xt, out=out[tail])
 
 
-# silent, as _split's scalars are: inf and nan come out without a warning, a
-# subnormal tail's square underflows in matmul, and blocks whose s is taken
-# as 0 divide by 0, for the callers to overwrite
+# silent, as _split is: inf and nan come out without a warning, a tail's
+# square overflows or underflows in matmul, and blocks whose s is taken as 0
+# divide by 0, for the callers to overwrite
 @np.errstate(all="ignore")
 def _spectral_blocks(g: np.ndarray, f):
     """(f(lam1)*u1 + f(lam2)*u2, s) for the blocks (x1, x2) stacked in g, with
@@ -195,7 +196,7 @@ def _spectral_blocks(g: np.ndarray, f):
     _split's head and tail formulas, elementwise."""
     h, t = g[..., 0], g[..., 1:]
     # a stack of (1, m-1) @ (m-1, 1) products is one ddot per tail, the same
-    # call as _split's x2.dot(x2); the tails must have unit stride
+    # call as _split's np.vdot(x2, x2); the tails must have unit stride
     s = np.sqrt(np.matmul(t[..., None, :], t[..., :, None])[..., 0, 0])
     s[s < TAIL_ZERO_TOL] = 0.0
     lo, hi = f(h - s), f(h + s)

@@ -3,6 +3,7 @@ import errno
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -532,6 +533,18 @@ class TestSuite:
                      "--out-dir", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error: cannot write ")
         assert os.listdir(tmp_path) == []
+
+    def test_run_paper_suite_makes_and_checks_its_directory(self, tmp_path, monkeypatch):
+        import socave.experiments as experiments
+
+        out = tmp_path / "made"
+        # a stand-in for a read-only directory, as above
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+        with pytest.raises(ValueError, match=re.escape(
+                f"cannot write {out}: directory is not writable")):
+            experiments.run_paper_suite(str(out))
+        assert os.listdir(out) == []
+        assert_no_child_left()
 
     def test_paper_suite_matches_a_serial_run(self, tmp_path, capsys):
         """The CLI suite (n = 1000 in a forked worker) writes the same bytes as

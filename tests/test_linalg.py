@@ -421,7 +421,16 @@ class TestBatchedProducts:
     @pytest.mark.parametrize("k", [1, 3])
     def test_tridiag(self, n, coeffs, k):
         X = np.random.default_rng(n).standard_normal((k, n))
-        self._assert_rowwise(TridiagToeplitz(n, *coeffs), X)
+        op = TridiagToeplitz(n, *coeffs)
+        self._assert_rowwise(op, X)
+        # a strided one-row view: the contiguous row's bits, and a view of
+        # its one correlation of n + 2 entries
+        strided = np.repeat(X[:1], 2, axis=1)[:, ::2]
+        for product in (op.matvec, op.rmatvec):
+            got = product(strided)
+            assert got.shape == (1, n)
+            assert got.tobytes() == product(X[:1]).tobytes()
+            assert got.base.shape == (n + 2,)
 
     def test_a_non_finite_row_stays_in_its_row(self):
         X = np.array([[1.0, 2.0, 3.0], [np.inf, 0.0, 1.0], [np.nan, 1.0, -1.0]])

@@ -1,6 +1,12 @@
 """The CI workflow parses: every `run:` script of .github/workflows/tests.yml
-passes `bash -n`, so a shell syntax error shows up locally, before CI runs."""
+passes `bash -n`, and every inline `python -c '...'` program in them parses
+as Python and imports only names that socave has, so a syntax error or a
+stale name shows up locally, before CI runs. `bash -n` does not read inside
+the quotes."""
 
+import ast
+import importlib
+import re
 import shutil
 import subprocess
 from pathlib import Path
@@ -20,6 +26,10 @@ def _run_steps() -> list[tuple[str, str]]:
 
 
 RUN_STEPS = _run_steps()
+# a single-quoted shell word holds no single quote, so each program ends at
+# the next one
+PROGRAMS = [(f"{name} #{i}", program) for name, script in RUN_STEPS
+            for i, program in enumerate(re.findall(r"python -c '([^']*)'", script))]
 
 
 def test_the_workflow_has_run_steps():
@@ -32,3 +42,21 @@ def test_the_workflow_has_run_steps():
 def test_run_script_parses_in_bash(script):
     done = subprocess.run(["bash", "-n"], input=script, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_the_workflow_has_python_programs():
+    assert len(PROGRAMS) >= 10
+
+
+@pytest.mark.parametrize("program", [program for _, program in PROGRAMS],
+                         ids=[name for name, _ in PROGRAMS])
+def test_python_program_parses_and_its_socave_names_exist(program):
+    for node in ast.walk(ast.parse(program)):
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "socave":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(module, alias.name), f"{node.module} has no {alias.name}"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "socave":
+                    importlib.import_module(alias.name)

@@ -12,7 +12,6 @@ from .integrator import (
     Trajectory,
     integrate,
     integrate_many,
-    integrate_ode,
     rk23_step,
     time_to_tolerance,
 )

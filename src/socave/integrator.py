@@ -1,10 +1,10 @@
-"""Adaptive embedded Runge-Kutta 2(3) initial-value solver.
+"""Adaptive embedded Runge-Kutta 2(3) integration of the projection flow.
 
 Uses the Bogacki-Shampine 3(2) pair (the method behind MATLAB's ode23)
 with standard proportional step control: accept when the scaled error
-estimate is <= 1, step factor 0.9 * err^(-1/3) clamped to [0.2, 5].
-Trajectories record every accepted step and can stop early on a residual
-event.
+estimate is <= 1, step factor 0.9 * err^(-1/3) clamped to [0.2, 5]. The
+flow is autonomous, so no field call takes a time. Trajectories record
+every accepted step and can stop early on a residual event.
 """
 
 from __future__ import annotations
@@ -71,21 +71,21 @@ class Trajectory:
         return 1 + 3 * (self.n_accepted + self.n_rejected)
 
 
-def rk23_step(field, t, x, h, rtol, atol, k1):
-    """One Bogacki-Shampine step for a field(t, x) -> (dx/dt, aux), with
-    k1 = field(t, x)[0] and x finite: (x_high, err, k4, aux4).
+def rk23_step(field, x, h, rtol, atol, k1):
+    """One Bogacki-Shampine step for an autonomous field(x) -> (dx/dt, aux),
+    with k1 = field(x)[0] and x finite: (x_high, err, k4, aux4).
 
-    x is a state, or a (k, n) batch of states with t and h floats or (k, 1)
-    columns. The arithmetic is elementwise, so each row takes the IEEE
+    x is a state, or a (k, n) batch of states with h a float or a (k, 1)
+    column. The arithmetic is elementwise, so each row takes the IEEE
     operations of a step from that row alone, and err has one entry per row.
     err is the infinity norm of (x_high - x_low) divided componentwise by
     atol + rtol * max(|x|, |x_high|), and inf after a non-finite stage, so
-    the caller rejects the step. The pair is FSAL: k4, aux4 = field(t + h,
-    x_high), the next step's k1. _integrate runs under np.errstate; a direct
-    caller handles overflow and invalid-value warnings itself.
+    the caller rejects the step. The pair is FSAL: k4, aux4 = field(x_high),
+    the next step's k1. _integrate runs under np.errstate; a direct caller
+    handles overflow and invalid-value warnings itself.
     """
-    k2 = field(t + 0.5 * h, x + (0.5 * h) * k1)[0]
-    k3 = field(t + 0.75 * h, x + (0.75 * h) * k2)[0]
+    k2 = field(x + (0.5 * h) * k1)[0]
+    k3 = field(x + (0.75 * h) * k2)[0]
     # x_high = x + h * ((2 k1 + 3 k2 + 4 k3) / 9), and below
     # err_vec = (h / 72) * (-5 k1 + 6 k2 + 8 k3 - 9 k4) and
     # scale = atol + rtol * max(|x|, |x_high|): each is accumulated in place,
@@ -97,7 +97,7 @@ def rk23_step(field, t, x, h, rtol, atol, k1):
     x_high /= 9.0
     x_high *= h
     x_high += x
-    k4, aux4 = field(t + h, x_high)
+    k4, aux4 = field(x_high)
     err_vec = -5.0 * k1
     err_vec += 6.0 * k2
     err_vec += 8.0 * k3
@@ -120,21 +120,6 @@ def _step_factor(err: float) -> float:
     if err == 0.0:
         return 5.0
     return min(5.0, max(0.2, 0.9 * err ** (-1.0 / 3.0)))
-
-
-def integrate_ode(f, x0, tspan, opts: IntegratorOptions = IntegratorOptions()) -> Trajectory:
-    """Integrate dx/dt = f(t, x) over tspan with adaptive stepping.
-
-    The recorded residual norms, which also drive the stop_on_residual
-    event, are the norms of the vector field itself. x0 is validated here.
-    """
-    x0 = as_vector(x0)
-
-    def field(t, x, _rows):  # x is a batch of one row; f sees it as a vector
-        v = f(t, x[0])[None]
-        return v, v
-
-    return _integrate(field, x0[None], [as_tspan(tspan)], opts, np.empty((1, 0)))[0]
 
 
 # a run's recorded states go into one array that it owns, of RECORD_ROWS
@@ -210,40 +195,35 @@ def _running(runs: list[_Run], *rows):
 # non-finite values are not errors here, from x0 on: a non-finite stage is
 # a rejected step
 @np.errstate(over="ignore", invalid="ignore")
-def _integrate(field, x0: np.ndarray, tspans: list, opts: IntegratorOptions,
-               rows: np.ndarray) -> list[Trajectory]:
+def _integrate(p: AveProblem, cfg: DynamicsConfig, b: np.ndarray, x0: np.ndarray,
+               tspans: list, opts: IntegratorOptions) -> list[Trajectory]:
     """The step loop: one trajectory per row of the (k, n) batch x0, the row
-    i over the validated span tspans[i], for a field(t, x, rows) ->
-    (dx/dt, aux) of a batch x, where rows, an array with one row per start
-    (say, each start's b), comes filtered to the starts still running.
+    i over the validated span tspans[i], for the field rhs_and_residual of
+    p with b[i] in place of p.b.
 
     The rows still running are stepped together, but each has its own t,
     span, step size, error test, counters, records and termination, and
     leaves the batch when it terminates: each trajectory is the one its row
     gives as a batch of one. _Run.end decides how each run ends, at its start
-    and after every attempt of its own. t and h go to rk23_step as floats for
-    one row, whose scalar arithmetic is cheaper, and as (k, 1) columns for
-    more. The recorded norm is ||aux|| of the evaluation at the recorded
+    and after every attempt of its own. h goes to rk23_step as a float for
+    one row, whose scalar arithmetic is cheaper, and as a (k, 1) column for
+    more. The recorded norm is ||r|| of the evaluation at the recorded
     state. The field runs once on x0, then three times per attempt on the
     rows still running.
     """
     x = np.array(x0, dtype=float)
-    # rows is looked up at each call, so the stages see it filtered
-    call = lambda t, y: field(t, y, rows)
-    fx, aux = call(tspans[0][0] if len(x) == 1 else np.array([[t0] for t0, _ in tspans]), x)
+    # b is looked up at each call, so the stages see it filtered
+    field = lambda y: rhs_and_residual(p, cfg, y, b)
+    fx, aux = field(x)
     stop, max_steps, stride = opts.stop_on_residual, opts.max_steps, opts.record_stride
     runs = [_Run(tspan, row, math.sqrt(a.dot(a)), stop, max_steps)  # np.linalg.norm's arithmetic
             for tspan, row, a in zip(tspans, x, aux)]
-    live, x, fx, rows = _running(runs, x, fx, rows)
+    live, x, fx, b = _running(runs, x, fx, b)
 
     while live:
         h_trials = [min(run.h, run.tf - run.t) for run in live]
-        if len(live) == 1:
-            t, h = live[0].t, h_trials[0]
-        else:
-            t = np.array([[run.t] for run in live])
-            h = np.array(h_trials)[:, None]
-        x_new, err, k4, aux4 = rk23_step(call, t, x, h, opts.rtol, opts.atol, fx)
+        h = h_trials[0] if len(live) == 1 else np.array(h_trials)[:, None]
+        x_new, err, k4, aux4 = rk23_step(field, x, h, opts.rtol, opts.atol, fx)
         errs = err.tolist()
         n_took = 0
         for i, run in enumerate(live):
@@ -270,7 +250,7 @@ def _integrate(field, x0: np.ndarray, tspans: list, opts: IntegratorOptions,
             took = (err <= 1.0)[:, None]
             x, fx = np.where(took, x_new, x), np.where(took, k4, fx)
         if any(run.termination for run in live):
-            live, x, fx, rows = _running(live, x, fx, rows)
+            live, x, fx, b = _running(live, x, fx, b)
 
     return [run.trajectory() for run in runs]
 
@@ -282,9 +262,9 @@ def integrate_many(p, cfg: DynamicsConfig, starts, tspan,
 
     p is one problem, or a list of one problem per start; problems that do
     not share A and the cone raise ValueError, and each row subtracts its
-    own b. tspan is one span, or a list of one span per start. Each start
-    and span is validated here, once; the stages are not (see
-    rhs_and_residual).
+    own b. tspan is one span, or a list of one span per start, which its
+    first entry tells apart. Each start and span is validated here, once;
+    the stages are not (see rhs_and_residual).
     """
     starts = list(starts)
     if not starts:
@@ -297,11 +277,11 @@ def integrate_many(p, cfg: DynamicsConfig, starts, tspan,
         raise ValueError("the problems of one batch must share A and the cone")
     b = np.array([q.b for q in problems])
     x0 = np.array([as_vector(x, p.n) for x in starts])
-    if np.ndim(tspan) == 2:
+    if len(tspan) and np.ndim(tspan[0]):
         tspans = [as_tspan(s) for s in _one_per_start(tspan, len(starts), "spans")]
     else:
         tspans = [as_tspan(tspan)] * len(starts)
-    return _integrate(lambda t, x, b: rhs_and_residual(p, cfg, x, b), x0, tspans, opts, b)
+    return _integrate(p, cfg, b, x0, tspans, opts)
 
 
 def _one_per_start(items, k: int, what: str) -> list:

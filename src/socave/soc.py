@@ -90,9 +90,13 @@ def _split(x: np.ndarray, i: int, tail: slice):
     """(x1, s, x2) of the block of x with head index i: x2 = x[tail] and
     s = ||x2||, taken as 0 below TAIL_ZERO_TOL. s is sqrt(x2 . x2), the
     arithmetic of np.linalg.norm for a real vector, by np.vdot: the ddot of
-    x2.dot(x2) without its floating-point check, so an overflow is silent."""
+    x2.dot(x2) without its floating-point check, so an overflow is silent.
+    Where that sum of squares overflows, s is math.hypot of x2, which is
+    finite if x2 is."""
     x2 = x[tail]
     s = math.sqrt(np.vdot(x2, x2))
+    if s == math.inf:
+        s = math.hypot(*x2)
     return x[i], (0.0 if s < TAIL_ZERO_TOL else s), x2
 
 
@@ -198,6 +202,9 @@ def _spectral_blocks(g: np.ndarray, f):
     # a stack of (1, m-1) @ (m-1, 1) products is one ddot per tail, the same
     # call as _split's np.vdot(x2, x2); the tails must have unit stride
     s = np.sqrt(np.matmul(t[..., None, :], t[..., :, None])[..., 0, 0])
+    big = s == math.inf
+    if big.any():  # _split's math.hypot where the sum of squares overflows
+        s[big] = [math.hypot(*tail) for tail in t[big]]
     s[s < TAIL_ZERO_TOL] = 0.0
     lo, hi = f(h - s), f(h + s)
     out = np.empty_like(g)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from socave.dynamics import DynamicsConfig, lyapunov_value
-from socave.integrator import IntegratorOptions, integrate, integrate_ode, time_to_tolerance
+from socave.integrator import IntegratorOptions, integrate, time_to_tolerance
 from socave.model import AveProblem, contraction_gap, residual, residual_projection_form
 from socave.problems import example_tridiag, random_unique
 from socave.soc import (
@@ -236,11 +236,14 @@ def test_criterion_09_jordan_algebra_suite():
 
 
 def test_criterion_10_integrator_order():
+    # A = [[2]], b = 0 on one size-1 block at gamma 0.5: for x > 0 the field
+    # is -x exactly, so x(1) = exp(-1) from x0 = 1
+    p = AveProblem(np.array([[2.0]]), np.zeros(1), ConeStructure((1,)))
     errs = []
     tols = (1e-4, 1e-6, 1e-8)
     for rtol in tols:
         opts = IntegratorOptions(rtol=rtol, atol=rtol * 1e-3)
-        traj = integrate_ode(lambda t, y: -y, np.array([1.0]), (0.0, 1.0), opts)
+        traj = integrate(p, DynamicsConfig(0.5), [1.0], (0.0, 1.0), opts)
         errs.append(abs(traj.final_state[0] - math.exp(-1.0)))
     slope = (math.log(errs[0]) - math.log(errs[-1])) / (math.log(tols[0]) - math.log(tols[-1]))
     check("criterion 10: global error scales as tol^(1.0 +/- 0.2)",

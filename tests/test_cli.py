@@ -928,13 +928,14 @@ class TestProcess:
         assert len(proc.stderr.splitlines()) == 2
 
     def test_verify_overflow_is_silent_under_warnings_as_errors(self, tmp_path):
-        # cmd_verify's errstate covers the one-row cone kernel as well: its
-        # x2.dot(x2) overflows, and it has no errstate of its own
+        # cmd_verify's errstate covers the one-row cone kernel as well: the
+        # sum of squares of its tail overflows, and it has no errstate of its
+        # own. |x| = x is finite, as the tail norm is then scaled; Ax is not
         write_vector(tmp_path, "x.json", [1e308, 1e308])
         proc = cli_process(["verify", "--builtin", "unique", "--x", "x.json", "--tol", "1e-8"],
                            tmp_path, PYTHONWARNINGS="error::RuntimeWarning")
         assert (proc.returncode, proc.stderr) == (3, "")
-        assert proc.stdout.startswith("residual_norm=nan\n")
+        assert proc.stdout.startswith("residual_norm=inf\n")
 
 
 def record_exits(monkeypatch):

@@ -16,7 +16,6 @@ from socave.integrator import (
     Termination,
     integrate,
     integrate_many,
-    integrate_ode,
     rk23_step,
     time_to_tolerance,
 )
@@ -26,37 +25,60 @@ from socave.soc import ConeStructure
 
 
 def _step(f, x, h, rtol=1e-6, atol=1e-9):
-    """rk23_step from t = 0 for a plain field f(t, x) -> dx/dt: (x_high, err)."""
-    return rk23_step(lambda t, y: (f(t, y), None), 0.0, x, h, rtol, atol, f(0.0, x))[:2]
+    """rk23_step for a plain field f(x) -> dx/dt: (x_high, err)."""
+    return rk23_step(lambda y: (f(y), None), x, h, rtol, atol, f(x))[:2]
+
+
+def _decay(n):
+    """A = 2I, b = 0 over n size-1 blocks, at gamma 0.5: while x > 0 the field
+    is -x exactly, r(x) = x and the recorded residual norm is ||x||."""
+    p = AveProblem(2.0 * np.eye(n), np.zeros(n), ConeStructure((1,) * n))
+    return p, DynamicsConfig(0.5)
+
+
+def _decay_run(x0, tspan, opts=IntegratorOptions()):
+    """integrate on _decay(len(x0)): the run of dx/dt = -x."""
+    p, cfg = _decay(len(x0))
+    return integrate(p, cfg, x0, tspan, opts)
 
 
 class TestRk23Step:
     def test_constant_solution(self):
         x = np.array([1.0, -2.0])
-        x_high, err = _step(lambda t, y: np.zeros(2), x, 0.5)
+        x_high, err = _step(lambda y: np.zeros(2), x, 0.5)
         assert np.array_equal(x_high, x)
         assert err == 0.0
 
     def test_exponential_decay(self):
-        x_high, err = _step(lambda t, y: -y, np.array([1.0]), 0.1, rtol=1e-3, atol=1e-6)
+        x_high, err = _step(lambda y: -y, np.array([1.0]), 0.1, rtol=1e-3, atol=1e-6)
         assert x_high[0] == pytest.approx(math.exp(-0.1), abs=1e-5)
         assert err < 1.0
 
     def test_pure_drift_integrated_exactly(self):
-        x_high, err = _step(lambda t, y: np.ones(1), np.zeros(1), 0.3)
+        x_high, err = _step(lambda y: np.ones(1), np.zeros(1), 0.3)
         assert x_high[0] == pytest.approx(0.3, abs=1e-16)
         assert err == 0.0
 
     def test_nonfinite_stage_reports_failure(self):
         # a direct caller handles the overflow warnings itself
         with np.errstate(over="ignore", invalid="ignore"):
-            _, err = _step(lambda t, y: y * 1e200, np.array([1e200]), 1.0)
+            _, err = _step(lambda y: y * 1e200, np.array([1e200]), 1.0)
+        assert err == math.inf
+
+    def test_overflowing_state_with_finite_error_is_inf(self):
+        # every stage is 1e300, so err_vec is exactly 0, while x_high
+        # overflows: only the test of x_high makes err inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            x_high, err = _step(lambda y: np.full(1, 1e300), np.array([1.7e308]), 1e7)
+        assert x_high[0] == math.inf
         assert err == math.inf
 
     def test_nonfinite_stage_emits_no_warning(self):
+        # at gamma 1e200 the field at x0 = 1e200 is already -inf
+        p, _ = _decay(1)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            traj = integrate_ode(lambda t, y: y * 1e200, [1e200], (0.0, 1.0))
+            traj = integrate(p, DynamicsConfig(1e200), [1e200], (0.0, 1.0))
         assert traj.termination is Termination.STEP_UNDERFLOW
         assert traj.n_rejected_nonfinite == traj.n_rejected > 0
         assert [str(w.message) for w in caught] == []
@@ -218,10 +240,9 @@ class TestIntegrate:
 
     def test_validates_x0(self):
         p = example_toy("unique")
-        with pytest.raises(ValueError):
-            integrate(p, DynamicsConfig(2.0), [math.nan, 1.0], (0.0, 1.0))
-        with pytest.raises(ValueError):
-            integrate(p, DynamicsConfig(2.0), [1.0, 0.0, 0.0], (0.0, 1.0))
+        for x0, message in [([math.nan, 1.0], "finite number"), ([1.0, 0.0, 0.0], "dimension 3")]:
+            with pytest.raises(ValueError, match=message):
+                integrate(p, DynamicsConfig(2.0), x0, (0.0, 1.0))
 
     def test_no_solution_x1_monotone_increasing(self):
         p = example_toy("none")
@@ -230,17 +251,23 @@ class TestIntegrate:
 
 
 class TestGenericOde:
+    """The step loop's behaviour as an ODE solver, on _decay's dx/dt = -x."""
+
     @pytest.mark.parametrize("x0", [[[1.0, 2.0]], 1.0, [math.nan], [math.inf, 0.0]])
     def test_validates_x0(self, x0):
-        with pytest.raises(ValueError):
-            integrate_ode(lambda t, y: -y, x0, (0.0, 1.0))
+        # the problem has as many blocks as x0 has entries, so only the
+        # shape or the finiteness of x0 can be at fault
+        p, cfg = _decay(np.size(x0))
+        with pytest.raises(ValueError, match="ndim=1, got ndim|finite number"):
+            integrate(p, cfg, x0, (0.0, 1.0))
 
     def test_third_order_error_scaling(self):
         # on dx/dt = -x the global error at t=1 tracks the tolerance
         errs = []
         for rtol in (1e-4, 1e-6, 1e-8):
             opts = IntegratorOptions(rtol=rtol, atol=rtol * 1e-3)
-            traj = integrate_ode(lambda t, y: -y, np.array([1.0]), (0.0, 1.0), opts)
+            traj = _decay_run([1.0], (0.0, 1.0), opts)
+            _assert_same_run(traj, _seed_integrate_ode(lambda t, y: -y, [1.0], (0.0, 1.0), opts))
             errs.append(abs(traj.final_state[0] - math.exp(-1.0)))
         ratio1 = errs[0] / errs[1]
         ratio2 = errs[1] / errs[2]
@@ -249,11 +276,14 @@ class TestGenericOde:
         assert 10 < ratio2 < 1000
 
     @pytest.mark.parametrize("width", [1e7, 65536.0, 16384.0])
-    @pytest.mark.parametrize("f", [lambda t, y: -y, lambda t, y: 0.0 * y], ids=["decay", "zero"])
-    def test_a_step_that_cannot_move_t_is_not_taken(self, f, width):
+    @pytest.mark.parametrize("b", [0.0, 1.0], ids=["decay", "zero"])
+    def test_a_step_that_cannot_move_t_is_not_taken(self, b, width):
         # the ulp of 1e20 is 16384: a step under half of it leaves t where it
-        # was, and the initial step of the two narrower spans is one
-        traj = integrate_ode(f, np.ones(2), (1e20, 1e20 + width), IntegratorOptions(max_steps=1000))
+        # was, and the initial step of the two narrower spans is one. With
+        # b = 1 the start x = 1 is the equilibrium, where the field is zero
+        p, cfg = _decay(2)
+        traj = integrate(AveProblem(p.A, np.full(2, b), p.cone), cfg, np.ones(2),
+                         (1e20, 1e20 + width), IntegratorOptions(max_steps=1000))
         assert np.all(np.diff(traj.times) > 0.0)
         assert traj.termination in (Termination.STEP_UNDERFLOW, Termination.REACHED_TF)
 
@@ -412,38 +442,34 @@ class TestFsalStepLoop:
         assert traj.termination is Termination.STEP_UNDERFLOW
         assert traj.n_rejected_nonfinite == traj.n_rejected > 0
 
-    def test_overflowing_state_with_finite_error_is_rejected(self):
-        # all stages equal 1e300, so err_vec is exactly 0 while x_high
-        # overflows near the top of the float range: only the test of
-        # x_high rejects those steps
-        def f(t, y):
-            return np.full(1, 1e300)
+    def test_overflowing_state_with_finite_error_is_rejected(self, monkeypatch):
+        # the paper's field is non-finite at a non-finite x_high, so a
+        # constant field of 1e300 stands in for it: all stages are equal, so
+        # err_vec is exactly 0 while x_high overflows near the top of the
+        # float range, and only the test of x_high rejects those steps
+        def constant(p, cfg, y, b=None):
+            v = np.full_like(y, 1e300)
+            return v, v
 
+        monkeypatch.setattr(socave.integrator, "rhs_and_residual", constant)
+        p, cfg = _decay(1)
         x0, tspan, opts = np.array([1.7e308]), (0.0, 1e9), IntegratorOptions(max_steps=300)
         with np.errstate(over="ignore", invalid="ignore"):
-            traj = integrate_ode(f, x0, tspan, opts)
-            ref = _seed_integrate_ode(f, x0, tspan, opts)
+            traj = integrate(p, cfg, x0, tspan, opts)
+            ref = _seed_integrate_ode(lambda t, y: np.full(1, 1e300), x0, tspan, opts)
         _assert_same_run(traj, ref)
         assert np.all(np.isfinite(traj.states))
         assert traj.n_rejected_nonfinite == traj.n_rejected > 0
 
-    def test_time_dependent_field_records_its_norm(self):
-        # FSAL is exact even when f depends on t: k4 is f at (t + h, x_high)
-        def f(t, y):
-            return np.sin(t) - y
-
-        opts = IntegratorOptions(rtol=1e-8, atol=1e-10)
-        traj = integrate_ode(f, np.array([1.0, -0.5]), (0.0, 3.0), opts)
-        _assert_same_run(traj, _seed_integrate_ode(f, np.array([1.0, -0.5]), (0.0, 3.0), opts))
-
-    def test_counting_field_runs_three_times_per_attempt(self):
+    def test_counting_field_runs_three_times_per_attempt(self, monkeypatch):
         calls = []
 
-        def f(t, y):
-            calls.append(t)
-            return -y
+        def counting(p, cfg, y, b=None):
+            calls.append(1)
+            return rhs_and_residual(p, cfg, y, b)
 
-        traj = integrate_ode(f, np.array([1.0]), (0.0, 5.0))
+        monkeypatch.setattr(socave.integrator, "rhs_and_residual", counting)
+        traj = _decay_run([1.0], (0.0, 5.0))
         attempts = traj.n_accepted + traj.n_rejected
         assert len(calls) == traj.n_rhs_evals == 1 + 3 * attempts
 
@@ -474,8 +500,8 @@ def _assert_same_trajectory(got, expected):
         assert getattr(got, name) == getattr(expected, name), name
 
 
-# a start this large makes the stages of the first steps overflow at gamma = 1e4
-OVERFLOWING_START = 1e300
+# a start this large makes the field of the first steps overflow at gamma = 1e4
+OVERFLOWING_START = 1e305
 
 
 class TestIntegrateMany:
@@ -602,6 +628,15 @@ class TestIntegrateMany:
         with pytest.raises(ValueError, match="tspan must be"):
             integrate_many(toy, cfg, [[0.0, 1.0], [1.0, 0.0]], [(0.0, 1.0), (1.0, 0.0)])
 
+    @pytest.mark.parametrize("tspan", [[[0.0, 1.0], [0.0]], [(0.0, 1.0), (0.0, 1.0, 2.0)],
+                                       [np.array([0.0, 1.0]), [math.nan, 1.0]], []],
+                             ids=["short", "long", "nan", "empty"])
+    def test_a_span_per_start_is_decided_by_the_first(self, tspan):
+        # a ragged list is a list of spans, each checked by the tspan rule
+        p, cfg = example_toy("unique"), DynamicsConfig(2.0)
+        with pytest.raises(ValueError, match="tspan must be two finite times"):
+            integrate_many(p, cfg, [[0.0, 1.0], [1.0, 0.0]], tspan)
+
     def test_each_start_is_validated(self):
         p, cfg = example_toy("unique"), DynamicsConfig(2.0)
         with pytest.raises(ValueError, match="dimension 3, expected 2"):
@@ -630,14 +665,15 @@ class TestRecording:
     records are those of the reference loop, bit for bit, on either side of
     each growth."""
 
-    def test_no_step_array_outlives_its_step(self):
+    def test_no_step_array_outlives_its_step(self, monkeypatch):
         live = _LiveArrays()
 
-        def f(t, y):
-            live.see(y)
-            return -y
+        def seeing(p, cfg, x, b=None):
+            live.see(x)
+            return rhs_and_residual(p, cfg, x, b)
 
-        traj = integrate_ode(f, np.ones(3), (0.0, 20.0))
+        monkeypatch.setattr(socave.integrator, "rhs_and_residual", seeing)
+        traj = _decay_run(np.ones(3), (0.0, 20.0))
         assert traj.n_accepted > 100
         # the current state, the last attempt's x_high and the array evaluated
         assert live.most <= 3
@@ -663,26 +699,20 @@ class TestRecording:
                              ids=["full", "one-more", "full-by-the-last", "one-more-by-the-last"])
     def test_records_on_either_side_of_the_first_growth(self, stride, extra):
         # recorded rows: x0, every stride-th accepted state, and the last
-        # accepted state if not yet recorded; f = -y over (0, 2) rejects no
-        # step in the first 60
+        # accepted state if not yet recorded; dx/dt = -x over (0, 2) rejects
+        # no step in the first 60
         rows = socave.integrator.RECORD_ROWS + extra
         n_accepted = rows - 1 if stride == 1 else stride * (rows - 2) + 1
         opts = IntegratorOptions(max_steps=n_accepted, record_stride=stride)
-
-        def f(t, y):
-            return -y
-
-        traj = integrate_ode(f, np.ones(3), (0.0, 2.0), opts)
+        traj = _decay_run(np.ones(3), (0.0, 2.0), opts)
         assert (traj.n_accepted, traj.n_rejected, len(traj.times)) == (n_accepted, 0, rows)
-        _assert_same_run(traj, _seed_integrate_ode(f, np.ones(3), (0.0, 2.0), opts))
+        _assert_same_run(traj, _seed_integrate_ode(lambda t, y: -y, np.ones(3), (0.0, 2.0), opts))
 
     def test_records_through_several_growths(self):
-        def f(t, y):
-            return -y
-
-        traj = integrate_ode(f, np.ones(3), (0.0, 20.0))
+        traj = _decay_run(np.ones(3), (0.0, 20.0))
         assert len(traj.times) > 8 * socave.integrator.RECORD_ROWS
-        _assert_same_run(traj, _seed_integrate_ode(f, np.ones(3), (0.0, 20.0), IntegratorOptions()))
+        _assert_same_run(traj, _seed_integrate_ode(lambda t, y: -y, np.ones(3), (0.0, 20.0),
+                                                   IntegratorOptions()))
         assert traj.states.flags.c_contiguous and traj.states.dtype == np.float64
 
     def test_a_batch_records_each_row_as_its_own_run(self):

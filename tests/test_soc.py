@@ -120,12 +120,13 @@ class TestSocAbs:
     @pytest.mark.parametrize("blocks, x, expected", [
         ((2,), [1.7e308, 1e150], [math.inf, 0.0]),
         # the tail's square overflows: the tail norm of one row must be as
-        # silent as that of the grouped pass of a batch
-        ((2,), [1.0, 1e200], [math.inf, math.nan]),
-        ((2, 1, 2), [1.0, 1e200, 3.0, 1.0, 2.0], [math.inf, math.nan, 3.0, 2.0, 1.0]),
+        # silent as that of the grouped pass of a batch, and is then scaled
+        ((2,), [1.0, 1e200], [1e200, 0.0]),
+        ((2, 1, 2), [1.0, 1e200, 3.0, 1.0, 2.0], [1e200, 0.0, 3.0, 2.0, 1.0]),
     ], ids=["head", "tail", "tail of three blocks"])
     def test_overflow_on_finite_input_is_silent(self, blocks, x, expected):
-        # |x| of a finite x can overflow; the result is inf, with no warning
+        # |x| of a finite x can overflow, or its tail's sum of squares can;
+        # neither warns
         cone = ConeStructure(blocks)
         assert cone._row_by_block  # one row goes block by block, through _abs_into
         batch = np.array([x, x[::-1]])
@@ -141,7 +142,7 @@ class TestSocAbs:
     def test_eigenvalues_and_membership_of_an_overflowing_tail_are_silent(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert eigenvalues(np.array([1.0, 1e200])) == (-math.inf, math.inf)
+            assert eigenvalues(np.array([1.0, 1e200])) == (-1e200, 1e200)
             assert cone_membership([1.0, 1e200], K2) == [Membership.NEITHER]
 
     @given(finite_vectors(3))
@@ -160,6 +161,67 @@ class TestSocAbs:
     def test_result_in_cone(self, x):
         cone = ConeStructure((4,))
         assert eigenvalues(soc_abs(x, cone))[0] >= -1e-12
+
+
+class TestOverflowingTailNorm:
+    """A finite tail whose sum of squares overflows has a finite norm, from
+    math.hypot, on every path; a finite tail norm keeps its bits."""
+
+    # each lies in K, and the sum of squares of each tail overflows; their
+    # spectral values round to x, so |x| = P_K(x) = x exactly
+    IN_K = [[1e200, 1e200], [2e200, 1e200], [3 * 2.0**700, 0.0, -2.0**700],
+            [1e300, -6e299, 8e299]]
+
+    @pytest.mark.parametrize("x", IN_K)
+    def test_a_point_of_k_is_its_own_abs_and_projection(self, x):
+        cone = ConeStructure((len(x),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for got in (soc_abs(x, cone), project_cone(x, cone), abs_kernel(np.array(x), cone),
+                        project_kernel(np.array(x), cone)):
+                assert got.tolist() == x
+            assert cone_membership(x, cone) in ([Membership.INTERIOR], [Membership.BOUNDARY])
+            assert in_cone(x, cone)
+
+    def test_eigenvalues_and_frame(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert eigenvalues(np.array([2e200, 1e200])) == (1e200, 3e200)
+            assert eigenvalues(np.array([1e300, -6e299, 8e299])) == (0.0, 2e300)
+            d = spectral_decompose(np.array([1e300, -6e299, 8e299]))
+            assert (d.lam1, d.lam2) == (0.0, 2e300)
+            assert d.u2.tolist() == [0.5, -0.3, 0.4]
+            assert cone_membership([2e200, 1e200], K2) == [Membership.INTERIOR]
+            assert cone_membership([-2e200, 1e200], K2) == [Membership.INSIDE_NEGATIVE_CONE]
+            assert cone_membership([0.0, 1e200], K2) == [Membership.NEITHER]
+            assert not in_cone([0.0, 1e200], K2)
+
+    @pytest.mark.parametrize("kernel", [abs_kernel, project_kernel], ids=["abs", "project"])
+    def test_rows_of_a_batch_are_the_rows_alone(self, kernel):
+        x = np.array([[1e200, 1e200], [-2e200, 1e200], [0.5, 1e200], [3.0, 4.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = kernel(x, K2)
+            for row, alone in zip(rows, x):
+                assert _bits(row) == _bits(kernel(alone, K2))
+        assert np.isfinite(rows).all()
+
+    @pytest.mark.parametrize("kernel", [abs_kernel, project_kernel], ids=["abs", "project"])
+    def test_the_grouped_pass_of_one_row(self, kernel):
+        # 16 blocks of two sizes: one row takes the grouped pass, and each
+        # block of it is that block alone
+        cone = ConeStructure((2, 3) * 8)
+        assert not cone._row_by_block
+        x = np.random.default_rng(5).standard_normal(cone.dim)
+        x[:5] = [2e200, 1e200, 1e300, -6e299, 8e299]  # the first two blocks
+        x[5:7] = [0.5, 1e200]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kernel(x, cone)
+            for b, sl in zip(cone.blocks, cone.slices()):
+                assert _bits(got[sl]) == _bits(kernel(x[sl], ConeStructure((b,))))
+        assert got[:5].tolist() == x[:5].tolist()
+        assert np.isfinite(got).all()
 
 
 class TestAbsKernelPath:
@@ -305,8 +367,15 @@ def test_blockwise_matches_per_block(seed):
         assert np.allclose(full[sl], single, atol=1e-14)
 
 
+def _reference_norm(tail):
+    """np.linalg.norm of a tail, and math.hypot of it where the sum of
+    squares overflows: the tail norm of every reference form."""
+    s = float(np.linalg.norm(tail))
+    return math.hypot(*tail) if s == math.inf else s
+
+
 def _reference_abs_kernel(x, cone):
-    """abs_kernel as it was with numpy-scalar heads and np.linalg.norm tails,
+    """abs_kernel as it was with numpy-scalar heads and _reference_norm tails,
     kept here as the reference the kernel must match bit for bit."""
     out = np.empty_like(x)
     for sl in cone.slices():
@@ -314,7 +383,7 @@ def _reference_abs_kernel(x, cone):
         if xb.shape[0] == 1:
             out[sl] = abs(xb[0])
             continue
-        s = float(np.linalg.norm(xb[1:]))
+        s = _reference_norm(xb[1:])
         if s < TAIL_ZERO_TOL:
             s = 0.0
         if s == 0.0:
@@ -329,7 +398,7 @@ def _reference_abs_kernel(x, cone):
 
 
 def _reference_project_cone(x, cone):
-    """project_kernel as it was, block by block with np.linalg.norm tails
+    """project_kernel as it was, block by block with _reference_norm tails
     and numpy-scalar heads: the reference its groups must match bit for bit."""
     out = np.empty_like(x)
     for sl in cone.slices():
@@ -337,7 +406,7 @@ def _reference_project_cone(x, cone):
         if xb.shape[0] == 1:
             out[sl] = max(xb[0], 0.0)
             continue
-        s = float(np.linalg.norm(xb[1:]))
+        s = _reference_norm(xb[1:])
         s = 0.0 if s < TAIL_ZERO_TOL else s
         if xb[0] >= s:
             out[sl] = xb
@@ -464,10 +533,10 @@ class TestAbsKernelBitwise:
 
 
 # The parent forms of the functions that share one block split, kept here
-# as references the split must match bit for bit: np.linalg.norm tails,
+# as references the split must match bit for bit: _reference_norm tails,
 # numpy-scalar heads and the size-1 branches they had.
 def _reference_eigenvalues(xb):
-    s = float(np.linalg.norm(xb[1:])) if xb.shape[0] > 1 else 0.0
+    s = _reference_norm(xb[1:]) if xb.shape[0] > 1 else 0.0
     s = 0.0 if s < TAIL_ZERO_TOL else s
     return float(xb[0]) - s, float(xb[0]) + s
 

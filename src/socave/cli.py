@@ -25,7 +25,7 @@ import numpy as np
 
 from .dynamics import DynamicsConfig
 from .integrator import IntegratorOptions, Termination, integrate, time_to_tolerance
-from .linalg import as_positive, as_tspan, as_vector
+from .linalg import as_positive, as_tspan, as_vector, vector_norm
 from .model import (
     load_problem,
     residual,
@@ -170,7 +170,7 @@ def cmd_verify(args) -> int:
     tol = as_positive(args.tol, "tol")
     r_direct = residual(p, x)
     r_proj = residual_projection_form(p, x)
-    rnorm = float(np.linalg.norm(r_direct))
+    rnorm = vector_norm(r_direct)
     agreement = float(np.max(np.abs(r_direct - r_proj)))
     print(f"residual_norm={rnorm:.17g}")
     print(f"residual_form_agreement={agreement:.3e}")

@@ -61,7 +61,8 @@ def lyapunov_value(x, x_star) -> float:
     """exp(||x - x*||^2) - 1; +inf once the exponent would overflow."""
     x = as_vector(x)
     x_star = as_vector(x_star, x.shape[0])
-    d2 = float(np.sum((x - x_star) ** 2))
+    d = x - x_star
+    d2 = float(np.vdot(d, d))
     if d2 > EXP_OVERFLOW:
         return math.inf
     return math.expm1(d2)
@@ -73,7 +74,7 @@ def lyapunov_rate(p: AveProblem, cfg: DynamicsConfig, x, x_star) -> float:
     x = as_vector(x, p.n)
     x_star = known_solution(p, x_star)
     d = x - x_star
-    d2 = float(d @ d)
+    d2 = float(np.vdot(d, d))
     inner = float(d @ p.A.rmatvec(residual(p, x)))
     if d2 > EXP_OVERFLOW:
         return -math.inf if inner > 0 else (math.inf if inner < 0 else 0.0)

@@ -14,6 +14,7 @@ import numpy as np
 
 from .dynamics import DynamicsConfig, rhs_and_residual
 from .integrator import IntegratorOptions, integrate, integrate_many, time_to_tolerance
+from .linalg import vector_norm
 from .model import AveProblem
 from .problems import TOY_RHS, example_toy, example_tridiag, initial_grid
 from .reporting import write_trajectory_csv
@@ -118,7 +119,7 @@ def run_toy_experiment(name: str, out_dir=None, trajs=None) -> dict:
                          and run["final_residual_norm"] <= 1e-3
                          and run["sign_violation"] <= 1e-12)
         elif name == "unique":
-            run["dist_to_solution"] = float(np.linalg.norm(xf - [0.0, 1.0]))
+            run["dist_to_solution"] = vector_norm(xf - [0.0, 1.0])
             run["ok"] = run["dist_to_solution"] <= 1e-3
         else:  # 'none': no equilibria, x1 must grow and the residual stay large
             x1 = traj.states[:, 0]

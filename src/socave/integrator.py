@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DynamicsConfig, rhs_and_residual
-from .linalg import as_count, as_positive, as_tspan, as_vector
+from .linalg import as_count, as_positive, as_tspan, as_vector, vector_norm
 from .model import AveProblem
 
 
@@ -216,7 +216,7 @@ def _integrate(p: AveProblem, cfg: DynamicsConfig, b: np.ndarray, x0: np.ndarray
     field = lambda y: rhs_and_residual(p, cfg, y, b)
     fx, aux = field(x)
     stop, max_steps, stride = opts.stop_on_residual, opts.max_steps, opts.record_stride
-    runs = [_Run(tspan, row, math.sqrt(a.dot(a)), stop, max_steps)  # np.linalg.norm's arithmetic
+    runs = [_Run(tspan, row, vector_norm(a), stop, max_steps)
             for tspan, row, a in zip(tspans, x, aux)]
     live, x, fx, b = _running(runs, x, fx, b)
 
@@ -232,8 +232,7 @@ def _integrate(p: AveProblem, cfg: DynamicsConfig, b: np.ndarray, x0: np.ndarray
                 n_took += 1
                 run.t += h_trial
                 run.n_accepted += 1
-                a = aux4[i]
-                run.rnorm = math.sqrt(a.dot(a))
+                run.rnorm = vector_norm(aux4[i])
                 if run.n_accepted % stride == 0:
                     run.record(x_new[i])
             else:
@@ -277,7 +276,7 @@ def integrate_many(p, cfg: DynamicsConfig, starts, tspan,
         raise ValueError("the problems of one batch must share A and the cone")
     b = np.array([q.b for q in problems])
     x0 = np.array([as_vector(x, p.n) for x in starts])
-    if len(tspan) and np.ndim(tspan[0]):
+    if np.iterable(tspan) and len(tspan) and np.ndim(tspan[0]):
         tspans = [as_tspan(s) for s in _one_per_start(tspan, len(starts), "spans")]
     else:
         tspans = [as_tspan(tspan)] * len(starts)

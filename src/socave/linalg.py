@@ -1,5 +1,6 @@
-"""Linear algebra: input validation and the linear operators that hold a
-problem's matrix, with their extremal singular values.
+"""Linear algebra: input validation, the one Euclidean norm of a vector,
+and the linear operators that hold a problem's matrix, with their extremal
+singular values.
 
 Vectors are plain float64 numpy arrays throughout the package. A problem's
 matrix is a linear operator: a DenseOperator around a stored array, or a
@@ -92,10 +93,20 @@ def as_positive(v, what: str) -> float:
 
 def as_tspan(tspan) -> tuple[float, float]:
     """Validate and return a time span (t0, tf): finite, t0 < tf, tf - t0 finite."""
-    t = [_finite(v) for v in tspan]
+    t = [_finite(v) for v in tspan] if np.iterable(tspan) else []  # a number or None
     if not (len(t) == 2 and None not in t and 0.0 < t[1] - t[0] < math.inf):
         raise ValueError(f"tspan must be two finite times t0 < tf, tf - t0 finite, got {tspan!r}")
     return t[0], t[1]
+
+
+def vector_norm(v: np.ndarray) -> float:
+    """||v||, the package's one Euclidean norm of a real float vector. It is
+    sqrt(v . v), the arithmetic of np.linalg.norm, by np.vdot: the ddot of
+    v.dot(v) without its floating-point check, so an overflow is silent.
+    Where that sum of squares overflows (a norm past about 1.34e154), it is
+    math.hypot of v, which is finite wherever ||v|| is within the float range."""
+    s = math.sqrt(np.vdot(v, v))
+    return math.hypot(*v) if s == math.inf else s
 
 
 class DenseOperator:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DenseOperator, TridiagToeplitz, as_count, as_positive, as_vector
+from .linalg import DenseOperator, TridiagToeplitz, as_count, as_positive, as_vector, vector_norm
 from .reporting import read_json, write_json
 from .soc import ConeStructure, abs_kernel, project_kernel
 
@@ -95,7 +95,7 @@ def residual_projection_form(p: AveProblem, x) -> np.ndarray:
 
 def is_solution(p: AveProblem, x, tol: float) -> bool:
     as_positive(tol, "tol")
-    return float(np.linalg.norm(residual(p, x))) <= tol
+    return vector_norm(residual(p, x)) <= tol
 
 
 def known_solution(p: AveProblem, x_star) -> np.ndarray:

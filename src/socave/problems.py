@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .linalg import TridiagToeplitz, as_count, as_positive, as_vector
+from .linalg import TridiagToeplitz, as_count, as_positive, as_vector, vector_norm
 from .model import AveProblem
 from .rng import SplitMix64
 from .soc import ConeStructure, soc_abs
@@ -99,6 +99,6 @@ def initial_grid(center, k: int) -> np.ndarray:
         rng = SplitMix64(GRID_SEED)
         for j in range(k):
             d = np.array(rng.gaussians(n))
-            d /= np.linalg.norm(d)
+            d /= vector_norm(d)
             pts[j] = center + GRID_RADIUS * d
     return pts

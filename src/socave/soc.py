@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_count, as_finite, as_vector
+from .linalg import as_count, as_finite, as_vector, vector_norm
 
 # below this, the tail of a block is treated as exactly zero (both branch
 # limits of the spectral formulas agree there)
@@ -88,15 +88,9 @@ class Membership(enum.Enum):
 
 def _split(x: np.ndarray, i: int, tail: slice):
     """(x1, s, x2) of the block of x with head index i: x2 = x[tail] and
-    s = ||x2||, taken as 0 below TAIL_ZERO_TOL. s is sqrt(x2 . x2), the
-    arithmetic of np.linalg.norm for a real vector, by np.vdot: the ddot of
-    x2.dot(x2) without its floating-point check, so an overflow is silent.
-    Where that sum of squares overflows, s is math.hypot of x2, which is
-    finite if x2 is."""
+    s = vector_norm(x2), taken as 0 below TAIL_ZERO_TOL."""
     x2 = x[tail]
-    s = math.sqrt(np.vdot(x2, x2))
-    if s == math.inf:
-        s = math.hypot(*x2)
+    s = vector_norm(x2)
     return x[i], (0.0 if s < TAIL_ZERO_TOL else s), x2
 
 
@@ -200,11 +194,11 @@ def _spectral_blocks(g: np.ndarray, f):
     _split's head and tail formulas, elementwise."""
     h, t = g[..., 0], g[..., 1:]
     # a stack of (1, m-1) @ (m-1, 1) products is one ddot per tail, the same
-    # call as _split's np.vdot(x2, x2); the tails must have unit stride
+    # call as vector_norm's np.vdot; the tails must have unit stride
     s = np.sqrt(np.matmul(t[..., None, :], t[..., :, None])[..., 0, 0])
     big = s == math.inf
-    if big.any():  # _split's math.hypot where the sum of squares overflows
-        s[big] = [math.hypot(*tail) for tail in t[big]]
+    if big.any():  # vector_norm where the sum of squares overflows
+        s[big] = [vector_norm(tail) for tail in t[big]]
     s[s < TAIL_ZERO_TOL] = 0.0
     lo, hi = f(h - s), f(h + s)
     out = np.empty_like(g)
@@ -284,4 +278,4 @@ def complementarity_residual(s, t, cone: ConeStructure) -> float:
     """||(s + t) - |s - t||| -- zero iff s, t in K and <s, t> = 0."""
     s = as_vector(s, cone.dim)
     t = as_vector(t, cone.dim)
-    return float(np.linalg.norm((s + t) - soc_abs(s - t, cone)))
+    return vector_norm((s + t) - soc_abs(s - t, cone))

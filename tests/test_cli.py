@@ -18,9 +18,10 @@ import socave
 from socave import cli
 from socave.cli import main
 from socave.experiments import _fork_alongside
-from socave.model import residual, save_problem
+from socave.model import AveProblem, residual, save_problem
 from socave.problems import example_toy
 from socave.reporting import read_trajectory_csv
+from socave.soc import ConeStructure
 
 
 @pytest.fixture
@@ -936,6 +937,15 @@ class TestProcess:
                            tmp_path, PYTHONWARNINGS="error::RuntimeWarning")
         assert (proc.returncode, proc.stderr) == (3, "")
         assert proc.stdout.startswith("residual_norm=inf\n")
+
+    def test_verify_prints_a_finite_norm_whose_sum_of_squares_overflows(self, tmp_path):
+        save_problem(tmp_path / "p.json",
+                     AveProblem(np.diag([3.0, 3.0]), np.zeros(2), ConeStructure((1, 1))))
+        write_vector(tmp_path, "x.json", [1e200, 1e200])
+        proc = cli_process(["verify", "--problem", "p.json", "--x", "x.json", "--tol", "1"],
+                           tmp_path, PYTHONWARNINGS="error::RuntimeWarning")
+        assert (proc.returncode, proc.stderr) == (3, "")
+        assert proc.stdout.startswith("residual_norm=2.8284271247461901e+200\n")
 
 
 def record_exits(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,12 @@ class TestLyapunov:
 
     def test_overflow_guard(self):
         assert lyapunov_value([30.0, 0.0], [0.0, 0.0]) == math.inf
+
+    def test_an_overflowing_distance_is_silent(self):
+        # the square of 1e200 overflows: ||x - x*||^2 is inf, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lyapunov_value([1e200, 0.0], [0.0, 0.0]) == math.inf
 
     def test_rate_zero_at_solution(self):
         p = example_toy("unique")

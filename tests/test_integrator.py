@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import socave.dynamics
 import socave.integrator
+from norm_reference import reference_norm
 from socave.dynamics import DynamicsConfig, lyapunov_value, rhs, rhs_and_residual
 from socave.integrator import (
     H_MIN,
@@ -169,10 +170,11 @@ class TestIntegrate:
             integrate(p, DynamicsConfig(1.0), [0.0, 0.0], (1.0, 1.0))
 
     @pytest.mark.parametrize("tspan", [(0.0, math.inf), (math.nan, 1.0), (-math.inf, 0.0),
-                                       (0.0,), (0.0, 0.5, 1.0)])
+                                       (0.0,), (0.0, 0.5, 1.0),
+                                       5.0, None, np.float64(5.0), np.array(5.0)])
     def test_rejects_nonfinite_or_malformed_tspan(self, tspan):
         # an infinite tf would reject every step until max_steps
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="tspan must be two finite times"):
             integrate(example_toy("unique"), DynamicsConfig(1.0), [0.0, 0.0], tspan,
                       IntegratorOptions(max_steps=10))
 
@@ -349,7 +351,7 @@ def _seed_integrate_ode(f, x0, tspan, opts, residual_fn=None):
     def res_norm(state, field_val):
         if residual_fn is not None:
             return float(residual_fn(state))
-        return float(np.linalg.norm(field_val))
+        return reference_norm(field_val)
 
     fx = f(t0, x)
     t = t0
@@ -460,6 +462,21 @@ class TestFsalStepLoop:
         _assert_same_run(traj, ref)
         assert np.all(np.isfinite(traj.states))
         assert traj.n_rejected_nonfinite == traj.n_rejected > 0
+
+    def test_a_residual_whose_sum_of_squares_overflows_is_recorded_finite(self):
+        # ||r|| on A = 3I from x0 = (1e300, 1e300) is past 1.34e154, so the
+        # sum of squares of r overflows, but the norm is finite and falls
+        # below stop_on_residual
+        p = AveProblem(np.diag([3.0, 3.0]), np.zeros(2), ConeStructure((1, 1)))
+        opts = IntegratorOptions(stop_on_residual=1e299)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            traj = integrate(p, DynamicsConfig(1.0), [1e300, 1e300], (0.0, 1.0), opts)
+        assert traj.termination is Termination.RESIDUAL_EVENT
+        assert np.all(np.isfinite(traj.residual_norms))
+        assert traj.residual_norms[-1] <= 1e299 < traj.residual_norms[0]
+        expected = [reference_norm(residual_kernel(p, x)) for x in traj.states]
+        assert traj.residual_norms.tobytes() == np.array(expected).tobytes()
 
     def test_counting_field_runs_three_times_per_attempt(self, monkeypatch):
         calls = []

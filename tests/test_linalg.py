@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as npst
 from socave.dynamics import DynamicsConfig
 from socave.integrator import integrate
 from socave.linalg import (DenseOperator, TridiagToeplitz, as_array, as_count, as_numbers,
-                           as_positive, as_tspan, as_vector)
+                           as_positive, as_tspan, as_vector, vector_norm)
 from socave.model import AveProblem, problem_from_dict, problem_to_dict
 from socave.problems import example_toy, example_tridiag, random_unique
 from socave.soc import ConeStructure
@@ -85,7 +85,8 @@ class TestValidators:
         assert as_tspan([np.float64(-1.0), 2]) == (-1.0, 2.0)
 
     @pytest.mark.parametrize("tspan", [(1.0, 1.0), (2.0, 1.0), (0.0, math.inf), (math.nan, 1.0),
-                                       (-math.inf, 0.0), (), (0.0,), (0.0, 1.0, 2.0)])
+                                       (-math.inf, 0.0), (), (0.0,), (0.0, 1.0, 2.0),
+                                       5.0, None, np.float64(5.0), np.array(5.0)])
     def test_tspan_rejects_the_rest(self, tspan):
         with pytest.raises(ValueError, match="tspan must be two finite times"):
             as_tspan(tspan)
@@ -135,6 +136,25 @@ def floats_of(v, ndim):
     if any(r is None for r in rows) or len({len(r) for r in rows if isinstance(r, list)}) > 1:
         return None
     return rows
+
+
+class TestVectorNorm:
+    @pytest.mark.parametrize("v, norm", [([3e200, 4e200], 5e200), ([-1e300], 1e300),
+                                         ([1e308, 1e308], 1e308 * math.sqrt(2)),
+                                         ([1.7e308, 1.7e308], math.inf)])
+    def test_a_sum_of_squares_past_the_float_range_is_scaled(self, v, norm):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert vector_norm(np.array(v, dtype=float)) == pytest.approx(norm, rel=1e-15)
+
+    # as np.linalg.norm: a nan in the sum of squares is not an overflow
+    @pytest.mark.parametrize("v, norm", [([math.inf, 1.0], math.inf), ([math.nan, 1.0], None),
+                                         ([math.inf, math.nan], None)])
+    def test_a_non_finite_entry_gives_a_non_finite_norm(self, v, norm):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = vector_norm(np.array(v))
+        assert got == norm if norm is not None else math.isnan(got)
 
 
 class TestOneNumberRule:

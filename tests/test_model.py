@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +112,14 @@ class TestIsSolution:
     @pytest.mark.parametrize("a", [0.0, 1.0, 7.3])
     def test_multi_equilibrium_ray(self, multi, a):
         assert is_solution(multi, [a, 0.0], 1e-8)
+
+    def test_a_residual_whose_sum_of_squares_overflows_is_silent(self):
+        # ||r|| = 2.83e200 on A = 3I: finite, though its sum of squares overflows
+        p = AveProblem(np.diag([3.0, 3.0]), np.zeros(2), ConeStructure((1, 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not is_solution(p, [1e200, 1e200], 1.0)
+            assert is_solution(p, [1e200, 1e200], 3e200)
 
     def test_rejects_bad_tol(self, unique):
         with pytest.raises(ValueError):

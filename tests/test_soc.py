@@ -7,7 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from norm_reference import reference_norm
 from socave import soc
+from socave.linalg import vector_norm
 from socave.soc import (
     TAIL_ZERO_TOL,
     ConeStructure,
@@ -367,15 +369,8 @@ def test_blockwise_matches_per_block(seed):
         assert np.allclose(full[sl], single, atol=1e-14)
 
 
-def _reference_norm(tail):
-    """np.linalg.norm of a tail, and math.hypot of it where the sum of
-    squares overflows: the tail norm of every reference form."""
-    s = float(np.linalg.norm(tail))
-    return math.hypot(*tail) if s == math.inf else s
-
-
 def _reference_abs_kernel(x, cone):
-    """abs_kernel as it was with numpy-scalar heads and _reference_norm tails,
+    """abs_kernel as it was with numpy-scalar heads and reference_norm tails,
     kept here as the reference the kernel must match bit for bit."""
     out = np.empty_like(x)
     for sl in cone.slices():
@@ -383,7 +378,7 @@ def _reference_abs_kernel(x, cone):
         if xb.shape[0] == 1:
             out[sl] = abs(xb[0])
             continue
-        s = _reference_norm(xb[1:])
+        s = reference_norm(xb[1:])
         if s < TAIL_ZERO_TOL:
             s = 0.0
         if s == 0.0:
@@ -398,7 +393,7 @@ def _reference_abs_kernel(x, cone):
 
 
 def _reference_project_cone(x, cone):
-    """project_kernel as it was, block by block with _reference_norm tails
+    """project_kernel as it was, block by block with reference_norm tails
     and numpy-scalar heads: the reference its groups must match bit for bit."""
     out = np.empty_like(x)
     for sl in cone.slices():
@@ -406,7 +401,7 @@ def _reference_project_cone(x, cone):
         if xb.shape[0] == 1:
             out[sl] = max(xb[0], 0.0)
             continue
-        s = _reference_norm(xb[1:])
+        s = reference_norm(xb[1:])
         s = 0.0 if s < TAIL_ZERO_TOL else s
         if xb[0] >= s:
             out[sl] = xb
@@ -530,13 +525,14 @@ class TestAbsKernelBitwise:
         with np.errstate(all="ignore"):
             assert _bits(np.array(math.sqrt(np.vdot(tail, tail)))) == \
                 _bits(np.array(float(np.linalg.norm(tail))))
+            assert _bits(np.array(vector_norm(tail))) == _bits(np.array(reference_norm(tail)))
 
 
 # The parent forms of the functions that share one block split, kept here
-# as references the split must match bit for bit: _reference_norm tails,
+# as references the split must match bit for bit: reference_norm tails,
 # numpy-scalar heads and the size-1 branches they had.
 def _reference_eigenvalues(xb):
-    s = _reference_norm(xb[1:]) if xb.shape[0] > 1 else 0.0
+    s = reference_norm(xb[1:]) if xb.shape[0] > 1 else 0.0
     s = 0.0 if s < TAIL_ZERO_TOL else s
     return float(xb[0]) - s, float(xb[0]) + s
 

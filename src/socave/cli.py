@@ -124,8 +124,6 @@ def _solve_start(p, cfg, x0, tspan, opts, head: dict, report_tols, out_path):
     return report, line, traj.termination in (Termination.REACHED_TF, Termination.RESIDUAL_EVENT)
 
 
-# a residual of finite inputs can overflow: it is reported, not warned about
-@np.errstate(over="ignore", invalid="ignore")
 def cmd_solve(args) -> int:
     p, x_star = _load_cli_problem(args)
     tspan = as_tspan(args.tspan)

@@ -57,6 +57,7 @@ def lipschitz_bound(p: AveProblem, cfg: DynamicsConfig) -> float:
     return cfg.gamma * norm_a * (norm_a + 1.0)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def lyapunov_value(x, x_star) -> float:
     """exp(||x - x*||^2) - 1; +inf once the exponent would overflow."""
     x = as_vector(x)

@@ -111,6 +111,12 @@ class TestLyapunov:
             warnings.simplefilter("error")
             assert lyapunov_value([1e200, 0.0], [0.0, 0.0]) == math.inf
 
+    def test_an_overflowing_difference_is_silent(self):
+        # 1e308 - (-1e308) overflows to inf in x - x*
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lyapunov_value([1e308], [-1e308]) == math.inf
+
     def test_rate_zero_at_solution(self):
         p = example_toy("unique")
         assert lyapunov_rate(p, GAMMA2, np.array([0.0, 1.0]), np.array([0.0, 1.0])) == 0.0

@@ -25,7 +25,7 @@ import numpy as np
 
 from .dynamics import DynamicsConfig
 from .integrator import IntegratorOptions, Termination, integrate, time_to_tolerance
-from .linalg import as_positive, as_tspan, as_vector, vector_norm
+from .linalg import as_positive, as_tspan, as_vector, quoted, silent, vector_norm
 from .model import (
     load_problem,
     residual,
@@ -82,7 +82,7 @@ def _resolve_starts(spec: str, n: int, x_star) -> np.ndarray:
             return initial_grid(center, int(spec.split(":", 1)[1]))
         return as_vector([float(v) for v in spec.split(",")], n).reshape(1, -1)
     except ValueError as e:
-        raise ValueError(f"bad --x0 {spec!r}: {e}") from e
+        raise ValueError(f"bad --x0 {quoted(spec)}: {e}") from e
 
 
 def _finite_or_none(v: float) -> float | None:
@@ -161,7 +161,7 @@ def cmd_solve(args) -> int:
     return 0 if ok else 2
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@silent  # for r_direct - r_proj: each residual form is silent on its own
 def cmd_verify(args) -> int:
     p, _ = _load_cli_problem(args)
     x = _load_vector_file(args.x, p.n)

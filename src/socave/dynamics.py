@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_positive, as_vector
+from .linalg import as_positive, as_vector, silent
 from .model import AveProblem, known_solution, residual, residual_kernel
 
 # exp() overflows shortly past 709 in double precision
@@ -28,6 +28,7 @@ class DynamicsConfig:
         as_positive(self.gamma, "gamma")
 
 
+@silent
 def rhs(p: AveProblem, cfg: DynamicsConfig, x: np.ndarray) -> np.ndarray:
     """gamma * A^T (b + |x| - Ax), computed as -gamma * A^T r(x).
 
@@ -57,7 +58,7 @@ def lipschitz_bound(p: AveProblem, cfg: DynamicsConfig) -> float:
     return cfg.gamma * norm_a * (norm_a + 1.0)
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@silent
 def lyapunov_value(x, x_star) -> float:
     """exp(||x - x*||^2) - 1; +inf once the exponent would overflow."""
     x = as_vector(x)
@@ -69,6 +70,7 @@ def lyapunov_value(x, x_star) -> float:
     return math.expm1(d2)
 
 
+@silent
 def lyapunov_rate(p: AveProblem, cfg: DynamicsConfig, x, x_star) -> float:
     """dV/dt along the flow: -2*gamma*exp(||x - x*||^2)*(x - x*)^T A^T r(x);
     x_star goes through known_solution."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DynamicsConfig, rhs_and_residual
-from .linalg import as_count, as_positive, as_tspan, as_vector, vector_norm
+from .linalg import as_count, as_positive, as_tspan, as_vector, silent, vector_norm
 from .model import AveProblem
 
 
@@ -81,8 +81,8 @@ def rk23_step(field, x, h, rtol, atol, k1):
     err is the infinity norm of (x_high - x_low) divided componentwise by
     atol + rtol * max(|x|, |x_high|), and inf after a non-finite stage, so
     the caller rejects the step. The pair is FSAL: k4, aux4 = field(x_high),
-    the next step's k1. _integrate runs under np.errstate; a direct caller
-    handles overflow and invalid-value warnings itself.
+    the next step's k1. _integrate runs it under linalg.silent; a direct
+    caller handles overflow and invalid-value warnings itself.
     """
     k2 = field(x + (0.5 * h) * k1)[0]
     k3 = field(x + (0.75 * h) * k2)[0]
@@ -193,8 +193,9 @@ def _running(runs: list[_Run], *rows):
 
 
 # non-finite values are not errors here, from x0 on: a non-finite stage is
-# a rejected step
-@np.errstate(over="ignore", invalid="ignore")
+# a rejected step. The loop's one policy covers rk23_step, rhs_and_residual
+# and residual_kernel, which take none of their own
+@silent
 def _integrate(p: AveProblem, cfg: DynamicsConfig, b: np.ndarray, x0: np.ndarray,
                tspans: list, opts: IntegratorOptions) -> list[Trajectory]:
     """The step loop: one trajectory per row of the (k, n) batch x0, the row

@@ -1,6 +1,6 @@
-"""Linear algebra: input validation, the one Euclidean norm of a vector,
-and the linear operators that hold a problem's matrix, with their extremal
-singular values.
+"""Linear algebra: input validation, the one overflow policy, the one
+Euclidean norm of a vector, and the linear operators that hold a problem's
+matrix, with their extremal singular values.
 
 Vectors are plain float64 numpy arrays throughout the package. A problem's
 matrix is a linear operator: a DenseOperator around a stored array, or a
@@ -20,12 +20,32 @@ import numpy as np
 # n-by-n array and O(n^3) work (3.7 s at n = 2000 on a 2-vCPU Xeon)
 DENSE_SVD_MAX_N = 2000
 
+# an error message quotes at most this many characters of a value's repr
+QUOTE_CHARS = 80
+
+
+def silent(func):
+    """func run under np.errstate(all="ignore"), the package's one spelling
+    of its overflow policy: on finite inputs func returns its value, with
+    inf or nan where they overflow, and no warning. Each decorated function
+    gets an errstate of its own, as numpy 1.x keeps the saved state on the
+    instance, so one instance shared by two functions would not nest."""
+    return np.errstate(all="ignore")(func)
+
+
+def quoted(v) -> str:
+    """repr(v) for an error message, cut to its first QUOTE_CHARS characters
+    and "..." where it is longer, so the message stays one short line
+    whatever an input file holds."""
+    r = repr(v)
+    return r if len(r) <= QUOTE_CHARS else f"{r[:QUOTE_CHARS]}... ({len(r)} characters)"
+
 
 def as_count(v, what: str) -> int:
     """Validate and return a count: an int (not a bool) or integer-valued float >= 1."""
     integral = isinstance(v, numbers.Integral) and not isinstance(v, bool)
     if not (integral or isinstance(v, float) and v.is_integer()) or v < 1:
-        raise ValueError(f"{what} must be an integer >= 1, got {v!r}")
+        raise ValueError(f"{what} must be an integer >= 1, got {quoted(v)}")
     return int(v)
 
 
@@ -46,7 +66,7 @@ def as_finite(v, what: str) -> float:
     """Validate and return a finite real number, as a float."""
     x = _finite(v)
     if x is None:
-        raise ValueError(f"{what} must be a finite number, got {v!r}")
+        raise ValueError(f"{what} must be a finite number, got {quoted(v)}")
     return x
 
 
@@ -87,7 +107,7 @@ def as_positive(v, what: str) -> float:
     """Validate and return a finite real number > 0, as a float."""
     x = _finite(v)
     if x is None or x <= 0:
-        raise ValueError(f"{what} must be finite and > 0, got {v!r}")
+        raise ValueError(f"{what} must be finite and > 0, got {quoted(v)}")
     return x
 
 
@@ -95,7 +115,7 @@ def as_tspan(tspan) -> tuple[float, float]:
     """Validate and return a time span (t0, tf): finite, t0 < tf, tf - t0 finite."""
     t = [_finite(v) for v in tspan] if np.iterable(tspan) else []  # a number or None
     if not (len(t) == 2 and None not in t and 0.0 < t[1] - t[0] < math.inf):
-        raise ValueError(f"tspan must be two finite times t0 < tf, tf - t0 finite, got {tspan!r}")
+        raise ValueError(f"tspan must be two finite times t0 < tf, tf - t0 finite, got {quoted(tspan)}")
     return t[0], t[1]
 
 

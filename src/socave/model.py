@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DenseOperator, TridiagToeplitz, as_count, as_positive, as_vector, vector_norm
+from .linalg import (DenseOperator, TridiagToeplitz, as_count, as_positive, as_vector, quoted,
+                     silent, vector_norm)
 from .reporting import read_json, write_json
 from .soc import ConeStructure, abs_kernel, project_kernel
 
@@ -41,7 +42,7 @@ class AveProblem:
         if self.cone.dim != A.shape[0]:
             raise ValueError("cone dimension must match A")
         if not isinstance(self.name, str):
-            raise ValueError(f"name must be a string, got {self.name!r}")
+            raise ValueError(f"name must be a string, got {quoted(self.name)}")
         b.setflags(write=False)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
@@ -63,6 +64,7 @@ class SolvabilityCertificate:
     verdict: Solvability
 
 
+@silent
 def residual(p: AveProblem, x) -> np.ndarray:
     """r(x) = Ax - |x| - b."""
     return residual_kernel(p, as_vector(x, p.n))
@@ -77,6 +79,7 @@ def residual_kernel(p: AveProblem, x: np.ndarray, b: np.ndarray | None = None) -
     return p.A.matvec(x) - abs_kernel(x, p.cone) - (p.b if b is None else b)
 
 
+@silent
 def qf_maps(p: AveProblem, x) -> tuple[np.ndarray, np.ndarray]:
     """(Q(x), F(x)) = (Ax + x - b, Ax - x - b)."""
     x = as_vector(x, p.n)
@@ -86,6 +89,7 @@ def qf_maps(p: AveProblem, x) -> tuple[np.ndarray, np.ndarray]:
     return q, q - 2.0 * x
 
 
+@silent
 def residual_projection_form(p: AveProblem, x) -> np.ndarray:
     """Q(x) - P_K[Q(x) - F(x)]; provably identical to residual(). An
     overflow in Q gives a non-finite residual, not an error."""
@@ -93,6 +97,7 @@ def residual_projection_form(p: AveProblem, x) -> np.ndarray:
     return q - project_kernel(q - f, p.cone)
 
 
+@silent
 def is_solution(p: AveProblem, x, tol: float) -> bool:
     as_positive(tol, "tol")
     return vector_norm(residual(p, x)) <= tol
@@ -119,6 +124,7 @@ def solvability_certificate(p: AveProblem) -> SolvabilityCertificate:
     return SolvabilityCertificate(sigma, verdict)
 
 
+@silent
 def contraction_gap(p: AveProblem, x, x_star) -> float:
     """(x - x*)^T A^T r(x) - 0.5*||r(x)||^2; nonnegative when sigma_min(A) >= 1.
     x_star goes through known_solution."""
@@ -166,7 +172,7 @@ def problem_from_dict(d: dict) -> tuple[AveProblem, np.ndarray | None]:
         elif kind == "tridiag":
             A = TridiagToeplitz(n, spec["sub"], spec["diag"], spec["sup"])
         else:
-            raise ValueError(f"unknown matrix kind {kind!r}")
+            raise ValueError(f"unknown matrix kind {quoted(kind)}")
         p = AveProblem(A, d["b"], cone, name=d.get("name", ""))
         x_star = None
         if d.get("x_star") is not None:

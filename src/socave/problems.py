@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .linalg import TridiagToeplitz, as_count, as_positive, as_vector, vector_norm
+from .linalg import TridiagToeplitz, as_count, as_positive, as_vector, quoted, vector_norm
 from .model import AveProblem
 from .rng import SplitMix64
 from .soc import ConeStructure, soc_abs
@@ -44,7 +44,7 @@ def example_toy(name: str) -> AveProblem:
     """2-d instances with A = diag(1, -1): infinitely many solutions
     ('multi'), the unique solution (0, 1) ('unique'), or none ('none')."""
     if name not in TOY_RHS:
-        raise ValueError(f"unknown toy problem {name!r}")
+        raise ValueError(f"unknown toy problem {quoted(name)}")
     A = np.diag([1.0, -1.0])
     b = np.array(TOY_RHS[name])
     return AveProblem(A, b, ConeStructure((2,)), name=name)

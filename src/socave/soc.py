@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_count, as_finite, as_vector, vector_norm
+from .linalg import as_count, as_finite, as_vector, quoted, silent, vector_norm
 
 # below this, the tail of a block is treated as exactly zero (both branch
 # limits of the spectral formulas agree there)
@@ -30,6 +30,7 @@ class ConeStructure:
     """Ordered SOC block sizes partitioning R^n."""
 
     blocks: tuple[int, ...]
+    dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "blocks",
@@ -44,6 +45,7 @@ class ConeStructure:
         for b in self.blocks:
             parts.append((start, slice(start + 1, start + b)))
             start += b
+        object.__setattr__(self, "dim", start)
         object.__setattr__(self, "_parts", tuple(parts))
         sizes = sorted(set(self.blocks))
         if len(sizes) == 1:
@@ -56,10 +58,6 @@ class ConeStructure:
         passes = sum(m > 1 for m in sizes)
         object.__setattr__(self, "_row_by_block",
                            len(self.blocks) < ROW_BLOCKS_PER_GROUP * passes)
-
-    @property
-    def dim(self) -> int:
-        return sum(self.blocks)
 
     def slices(self) -> list[slice]:
         return [slice(i, tail.stop) for i, tail in self._parts]
@@ -122,7 +120,7 @@ def jordan_product(x, y, cone: ConeStructure) -> np.ndarray:
     return _blockwise(_jordan_blocks, cone, as_vector(x, cone.dim), as_vector(y, cone.dim))
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@silent
 def _jordan_blocks(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
     out = np.empty_like(gx)
     # one ddot per block, the call of a block's xb @ yb
@@ -179,39 +177,62 @@ def _abs_into(x: np.ndarray, cone: ConeStructure, out: np.ndarray) -> None:
         else:
             lo = abs(x1 - s)
             hi = abs(x1 + s)
-            out[i] = 0.5 * (lo + hi)
+            head = 0.5 * (lo + hi)
             scale = 0.5 * (hi - lo) / s
-            # inf where hi or lo overflowed, and inf * 0 is nan; an errstate on
-            # every call took 5 % of the n = 1000 solve on a 2-vCPU Xeon
-            if math.isinf(scale):
-                with np.errstate(invalid="ignore"):
-                    np.multiply(scale, xt, out=out[tail])
-            else:
-                np.multiply(scale, xt, out=out[tail])
+            if head == math.inf and max(abs(x1), s) < math.inf:
+                head, scale = _abs_exact(x1, s)
+            out[i] = head
+            np.multiply(scale, xt, out=out[tail])
+
+
+# the (head, tail factor) of f(lam1)*u1 + f(lam2)*u2 of a block (x1, x2) with
+# s = ||x2|| > 0, in a form without x1 + s: the value of the blocks with x1
+# and s finite whose head overflowed in 0.5 * (f(x1 - s) + f(x1 + s)). The
+# factor is at most 1 in size, so the tail stays finite
+def _abs_exact(x1, s):
+    a = np.abs(x1)
+    return np.maximum(a, s), np.copysign(np.minimum(a, s), x1) / s
+
+
+def _project_exact(x1, s):  # for |x1| < s, the blocks neither in K nor in -K
+    head = 0.5 * x1 + 0.5 * s
+    return head, head / s
+
+
+def _may_hold_inf(a: np.ndarray) -> bool:
+    """True where an entry of a, each >= 0 or nan, is inf, and also where one
+    is nan or their sum overflows: one reduction, where np.isinf(a).any()
+    takes two calls."""
+    return not math.isfinite(a.sum())
 
 
 # silent, as _split is: inf and nan come out without a warning, a tail's
 # square overflows or underflows in matmul, and blocks whose s is taken as 0
 # divide by 0, for the callers to overwrite
-@np.errstate(all="ignore")
-def _spectral_blocks(g: np.ndarray, f):
+@silent
+def _spectral_blocks(g: np.ndarray, f, exact):
     """(f(lam1)*u1 + f(lam2)*u2, s) for the blocks (x1, x2) stacked in g, with
     lam1, lam2 = x1 -/+ s and s = ||x2||, taken as 0 below TAIL_ZERO_TOL:
-    _split's head and tail formulas, elementwise."""
+    _split's head and tail formulas, elementwise, and exact(x1, s) for the
+    finite blocks whose head overflowed."""
     h, t = g[..., 0], g[..., 1:]
     # a stack of (1, m-1) @ (m-1, 1) products is one ddot per tail, the same
     # call as vector_norm's np.vdot; the tails must have unit stride
     s = np.sqrt(np.matmul(t[..., None, :], t[..., :, None])[..., 0, 0])
-    big = s == math.inf
-    if big.any():  # vector_norm where the sum of squares overflows
+    if _may_hold_inf(s):  # vector_norm where the sum of squares overflows
+        big = s == math.inf
         s[big] = [vector_norm(tail) for tail in t[big]]
     s[s < TAIL_ZERO_TOL] = 0.0
     lo, hi = f(h - s), f(h + s)
     out = np.empty_like(g)
-    np.multiply(0.5, lo + hi, out=out[..., 0])
+    head = out[..., 0]
+    np.multiply(0.5, lo + hi, out=head)
     hi -= lo
     hi *= 0.5
     hi /= s
+    if _may_hold_inf(head):
+        over = (head == math.inf) & np.isfinite(h) & np.isfinite(s)
+        head[over], hi[over] = exact(h[over], s[over])
     np.multiply(hi[..., None], t, out=out[..., 1:])
     return out, s
 
@@ -219,7 +240,7 @@ def _spectral_blocks(g: np.ndarray, f):
 def _abs_blocks(g: np.ndarray) -> np.ndarray:
     if g.shape[-1] == 1:
         return np.abs(g)
-    out, s = _spectral_blocks(g, np.abs)
+    out, s = _spectral_blocks(g, np.abs, _abs_exact)
     if not s.all():  # blocks whose tail is taken as zero: (|x1|, 0)
         zero = s == 0.0
         out[..., 0][zero] = np.abs(g[..., 0][zero])
@@ -241,7 +262,7 @@ def project_kernel(x: np.ndarray, cone: ConeStructure) -> np.ndarray:
 
 def _project_blocks(g: np.ndarray) -> np.ndarray:
     # size 1 too: np.maximum(-0.0, 0) is 0.0, but -0.0 in K projects to -0.0
-    out, s = _spectral_blocks(g, lambda v: np.maximum(v, 0.0))
+    out, s = _spectral_blocks(g, lambda v: np.maximum(v, 0.0), _project_exact)
     out[g[..., 0] <= -s] = 0.0  # blocks in -K
     inside = g[..., 0] >= s  # blocks in K, which wins where both hold
     out[inside] = g[inside]
@@ -262,7 +283,7 @@ def cone_membership(x, cone: ConeStructure, tol: float = 1e-10) -> list[Membersh
     of -K (outside K), Neither is in neither cone. tol is a finite number >= 0.
     """
     if as_finite(tol, "tol") < 0:
-        raise ValueError(f"tol must be >= 0, got {tol!r}")
+        raise ValueError(f"tol must be >= 0, got {quoted(tol)}")
     x = as_vector(x, cone.dim)
     out = []
     for sl in cone.slices():
@@ -280,9 +301,9 @@ def cone_membership(x, cone: ConeStructure, tol: float = 1e-10) -> list[Membersh
     return out
 
 
+@silent
 def complementarity_residual(s, t, cone: ConeStructure) -> float:
     """||(s + t) - |s - t||| -- zero iff s, t in K and <s, t> = 0."""
     s = as_vector(s, cone.dim)
     t = as_vector(t, cone.dim)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return vector_norm((s + t) - abs_kernel(s - t, cone))
+    return vector_norm((s + t) - abs_kernel(s - t, cone))

@@ -459,6 +459,29 @@ class TestSchemaNumbers:
         assert main(["verify", "--problem", unique_file, "--x", x, "--tol", "1e-8"]) == 1
         assert "must be a finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "verify", "--x0"])
+    def test_an_oversized_malformed_field_is_one_short_error_line(self, tmp_path, capsys,
+                                                                   command):
+        # its repr is 688,897 characters: the line quotes a prefix of it
+        big = json.dumps({"v": list(range(100_000))})
+        outputs = ["--out", str(tmp_path / "t.csv"), "--report", str(tmp_path / "r.json")]
+        if command == "solve":
+            problem = tmp_path / "p.json"
+            problem.write_text(problem_text(b=big))
+            argv = ["solve", "--problem", str(problem), "--gamma", "1", "--tspan", "0,1",
+                    *outputs]
+        elif command == "verify":
+            (tmp_path / "x.json").write_text(big)
+            argv = ["verify", "--builtin", "unique", "--x", str(tmp_path / "x.json"),
+                    "--tol", "1"]
+        else:  # a start of 20,000 entries for a 2-d problem
+            argv = ["solve", "--builtin", "unique", "--gamma", "1", "--tspan", "0,1",
+                    "--x0", ",".join(map(str, range(20_000))), *outputs]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err.encode()) < 300
+        assert ("got {'v': [0, 1, 2, " if command != "--x0" else "bad --x0 '0,1,2,") in err
+
 
 class TestOverflow:
     """A finite input whose residual overflows is a run that fails, reported
@@ -929,9 +952,9 @@ class TestProcess:
         assert len(proc.stderr.splitlines()) == 2
 
     def test_verify_overflow_is_silent_under_warnings_as_errors(self, tmp_path):
-        # cmd_verify's errstate covers the one-row cone kernel as well: the
-        # sum of squares of its tail overflows, and it has no errstate of its
-        # own. |x| = x is finite, as the tail norm is then scaled; Ax is not
+        # each residual form is silent on its own, and cmd_verify for
+        # r_direct - r_proj. The sum of squares of the one-row tail overflows
+        # and x1 + s does; |x| = x is finite all the same, Ax is not
         write_vector(tmp_path, "x.json", [1e308, 1e308])
         proc = cli_process(["verify", "--builtin", "unique", "--x", "x.json", "--tol", "1e-8"],
                            tmp_path, PYTHONWARNINGS="error::RuntimeWarning")

@@ -120,15 +120,16 @@ class TestSocAbs:
         assert soc_abs(np.array([-1.0, 2.0, -3.0]), cone).tolist() == [1, 2, 3]
 
     @pytest.mark.parametrize("blocks, x, expected", [
-        ((2,), [1.7e308, 1e150], [math.inf, 0.0]),
+        # x is in K, so |x| is x, though 0.5 * (lo + hi) overflows
+        ((2,), [1.7e308, 1e150], [1.7e308, 1e150]),
         # the tail's square overflows: the tail norm of one row must be as
         # silent as that of the grouped pass of a batch, and is then scaled
         ((2,), [1.0, 1e200], [1e200, 0.0]),
         ((2, 1, 2), [1.0, 1e200, 3.0, 1.0, 2.0], [1e200, 0.0, 3.0, 2.0, 1.0]),
     ], ids=["head", "tail", "tail of three blocks"])
     def test_overflow_on_finite_input_is_silent(self, blocks, x, expected):
-        # |x| of a finite x can overflow, or its tail's sum of squares can;
-        # neither warns
+        # the head's 0.5 * (lo + hi) of a finite x can overflow, or its
+        # tail's sum of squares can; neither warns, and |x| is finite
         cone = ConeStructure(blocks)
         assert cone._row_by_block  # one row goes block by block, through _abs_into
         batch = np.array([x, x[::-1]])
@@ -371,7 +372,9 @@ def test_blockwise_matches_per_block(seed):
 
 def _reference_abs_kernel(x, cone):
     """abs_kernel as it was with numpy-scalar heads and reference_norm tails,
-    kept here as the reference the kernel must match bit for bit."""
+    kept here as the reference the kernel must match bit for bit. A finite
+    block whose head overflows in 0.5 * (lo + hi) takes the exact forms
+    max(|x1|, s) and copysign(min(|x1|, s), x1) / s."""
     out = np.empty_like(x)
     for sl in cone.slices():
         xb = x[sl]
@@ -387,14 +390,19 @@ def _reference_abs_kernel(x, cone):
         else:
             lo = abs(xb[0] - s)
             hi = abs(xb[0] + s)
-            out[sl][0] = 0.5 * (lo + hi)
-            out[sl][1:] = (0.5 * (hi - lo) / s) * xb[1:]
+            head, factor = 0.5 * (lo + hi), 0.5 * (hi - lo) / s
+            if head == math.inf and abs(xb[0]) < math.inf and s < math.inf:
+                head = max(abs(xb[0]), s)
+                factor = math.copysign(min(abs(xb[0]), s), xb[0]) / s
+            out[sl][0] = head
+            out[sl][1:] = factor * xb[1:]
     return out
 
 
 def _reference_project_cone(x, cone):
     """project_kernel as it was, block by block with reference_norm tails
-    and numpy-scalar heads: the reference its groups must match bit for bit."""
+    and numpy-scalar heads: the reference its groups must match bit for bit.
+    A finite block whose x1 + s overflows takes the head 0.5*x1 + 0.5*s."""
     out = np.empty_like(x)
     for sl in cone.slices():
         xb = x[sl]
@@ -409,6 +417,8 @@ def _reference_project_cone(x, cone):
             out[sl] = 0.0
         else:
             t = 0.5 * (xb[0] + s)
+            if t == math.inf and s < math.inf:
+                t = 0.5 * xb[0] + 0.5 * s
             out[sl][0] = t
             out[sl][1:] = (t / s) * xb[1:]
     return out

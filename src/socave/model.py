@@ -22,10 +22,11 @@ from .soc import ConeStructure, abs_kernel, project_kernel
 CERT_EPS = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AveProblem:
     """A x - |x| - b = 0; A is a linear operator, or an array that is wrapped
-    in a DenseOperator."""
+    in a DenseOperator. A problem equals only itself and hashes by identity:
+    a field-wise == would compare arrays."""
 
     A: DenseOperator | TridiagToeplitz
     b: np.ndarray

@@ -15,8 +15,8 @@ import numpy as np
 
 from .linalg import as_count, as_finite, as_vector, quoted, silent, vector_norm
 
-# below this, the tail of a block is treated as exactly zero (both branch
-# limits of the spectral formulas agree there)
+# below this, the tail of a block is taken as exactly zero: the block's
+# Jordan frame is fixed to the first axis, and its |x| is (|x1|, 0)
 TAIL_ZERO_TOL = 1e-14
 
 # one grouped pass over the blocks of one size with tails costs about as much
@@ -95,6 +95,9 @@ def _split(x: np.ndarray, i: int, tail: slice):
 
 def eigenvalues(xb: np.ndarray) -> tuple[float, float]:
     """(lam1, lam2) = x1 -/+ ||x2|| of one block; for size 1, both equal x1."""
+    xb = as_vector(xb)
+    if xb.shape[0] < 1:
+        raise ValueError("eigenvalues need a block of size >= 1")
     x1, s, _ = _split(xb, 0, slice(1, None))
     return x1 - s, x1 + s
 
@@ -134,6 +137,7 @@ def soc_abs(x, cone: ConeStructure) -> np.ndarray:
     return abs_kernel(as_vector(x, cone.dim), cone)
 
 
+@silent
 def abs_kernel(x: np.ndarray, cone: ConeStructure) -> np.ndarray:
     """soc_abs without input validation, for the integrator's hot path: x
     must be a float vector of dimension cone.dim, or a (k, cone.dim) batch
@@ -174,76 +178,48 @@ def _abs_into(x: np.ndarray, cone: ConeStructure, out: np.ndarray) -> None:
         if s == 0.0:
             out[i] = abs(x1)
             out[tail] = 0.0
-        else:
-            lo = abs(x1 - s)
-            hi = abs(x1 + s)
-            head = 0.5 * (lo + hi)
-            scale = 0.5 * (hi - lo) / s
-            if head == math.inf and max(abs(x1), s) < math.inf:
-                head, scale = _abs_exact(x1, s)
-            out[i] = head
-            np.multiply(scale, xt, out=out[tail])
+        elif x1 >= s:  # in K
+            out[i] = x1
+            out[tail] = xt
+        elif x1 <= -s:  # in -K
+            out[i] = -x1
+            np.negative(xt, out=out[tail])
+        else:  # neither, or a nan
+            out[i] = s
+            np.multiply(x1 / s, xt, out=out[tail])
 
 
-# the (head, tail factor) of f(lam1)*u1 + f(lam2)*u2 of a block (x1, x2) with
-# s = ||x2|| > 0, in a form without x1 + s: the value of the blocks with x1
-# and s finite whose head overflowed in 0.5 * (f(x1 - s) + f(x1 + s)). The
-# factor is at most 1 in size, so the tail stays finite
-def _abs_exact(x1, s):
-    a = np.abs(x1)
-    return np.maximum(a, s), np.copysign(np.minimum(a, s), x1) / s
-
-
-def _project_exact(x1, s):  # for |x1| < s, the blocks neither in K nor in -K
-    head = 0.5 * x1 + 0.5 * s
-    return head, head / s
-
-
-def _may_hold_inf(a: np.ndarray) -> bool:
-    """True where an entry of a, each >= 0 or nan, is inf, and also where one
-    is nan or their sum overflows: one reduction, where np.isinf(a).any()
-    takes two calls."""
-    return not math.isfinite(a.sum())
-
-
-# silent, as _split is: inf and nan come out without a warning, a tail's
-# square overflows or underflows in matmul, and blocks whose s is taken as 0
-# divide by 0, for the callers to overwrite
-@silent
-def _spectral_blocks(g: np.ndarray, f, exact):
-    """(f(lam1)*u1 + f(lam2)*u2, s) for the blocks (x1, x2) stacked in g, with
-    lam1, lam2 = x1 -/+ s and s = ||x2||, taken as 0 below TAIL_ZERO_TOL:
-    _split's head and tail formulas, elementwise, and exact(x1, s) for the
-    finite blocks whose head overflowed."""
-    h, t = g[..., 0], g[..., 1:]
+def _tail_norms(t: np.ndarray) -> np.ndarray:
+    """s = ||x2|| of each tail x2 stacked in t, taken as 0 below
+    TAIL_ZERO_TOL: the tail norm of _split, elementwise. Run under its
+    callers' silent, as a tail's square overflows or underflows in matmul."""
     # a stack of (1, m-1) @ (m-1, 1) products is one ddot per tail, the same
     # call as vector_norm's np.vdot; the tails must have unit stride
     s = np.sqrt(np.matmul(t[..., None, :], t[..., :, None])[..., 0, 0])
-    if _may_hold_inf(s):  # vector_norm where the sum of squares overflows
+    # vector_norm where the sum of squares overflows; s is >= 0 or nan, so
+    # one sum finds an inf, where np.isinf(s).any() takes two calls
+    if not math.isfinite(s.sum()):
         big = s == math.inf
         s[big] = [vector_norm(tail) for tail in t[big]]
     s[s < TAIL_ZERO_TOL] = 0.0
-    lo, hi = f(h - s), f(h + s)
-    out = np.empty_like(g)
-    head = out[..., 0]
-    np.multiply(0.5, lo + hi, out=head)
-    hi -= lo
-    hi *= 0.5
-    hi /= s
-    if _may_hold_inf(head):
-        over = (head == math.inf) & np.isfinite(h) & np.isfinite(s)
-        head[over], hi[over] = exact(h[over], s[over])
-    np.multiply(hi[..., None], t, out=out[..., 1:])
-    return out, s
+    return s
 
 
 def _abs_blocks(g: np.ndarray) -> np.ndarray:
+    """|x| of the blocks (x1, x2) stacked in g: x in K, -x in -K, and
+    (s, (x1/s)*x2) between them; (|x1|, 0) where s is taken as 0."""
     if g.shape[-1] == 1:
         return np.abs(g)
-    out, s = _spectral_blocks(g, np.abs, _abs_exact)
-    if not s.all():  # blocks whose tail is taken as zero: (|x1|, 0)
+    x1, x2 = g[..., 0], g[..., 1:]
+    s = _tail_norms(x2)
+    out = np.empty_like(g)
+    out[..., 0] = s
+    np.multiply((x1 / s)[..., None], x2, out=out[..., 1:])
+    np.negative(g, out=out, where=(x1 <= -s)[..., None])  # in -K
+    np.copyto(out, g, where=(x1 >= s)[..., None])  # in K
+    if not s.all():
         zero = s == 0.0
-        out[..., 0][zero] = np.abs(g[..., 0][zero])
+        out[..., 0][zero] = np.abs(x1[zero])
         out[..., 1:][zero] = 0.0
     return out
 
@@ -253,6 +229,7 @@ def project_cone(x, cone: ConeStructure) -> np.ndarray:
     return project_kernel(as_vector(x, cone.dim), cone)
 
 
+@silent
 def project_kernel(x: np.ndarray, cone: ConeStructure) -> np.ndarray:
     """project_cone without input validation: x must be a float vector of
     dimension cone.dim, or a (k, cone.dim) batch of them, one per row;
@@ -261,11 +238,19 @@ def project_kernel(x: np.ndarray, cone: ConeStructure) -> np.ndarray:
 
 
 def _project_blocks(g: np.ndarray) -> np.ndarray:
-    # size 1 too: np.maximum(-0.0, 0) is 0.0, but -0.0 in K projects to -0.0
-    out, s = _spectral_blocks(g, lambda v: np.maximum(v, 0.0), _project_exact)
-    out[g[..., 0] <= -s] = 0.0  # blocks in -K
-    inside = g[..., 0] >= s  # blocks in K, which wins where both hold
-    out[inside] = g[inside]
+    """P_K of the blocks (x1, x2) stacked in g: x in K, 0 in -K, and
+    (h, (h/s)*x2) with h = 0.5*x1 + 0.5*s between them, which rounds as
+    0.5*(x1 + s) wherever that sum is finite. Size 1 too: np.maximum(-0.0, 0)
+    is 0.0, but -0.0 in K projects to -0.0."""
+    x1, x2 = g[..., 0], g[..., 1:]
+    s = _tail_norms(x2)
+    out = np.empty_like(g)
+    head = out[..., 0]
+    np.multiply(0.5, x1, out=head)
+    head += 0.5 * s
+    np.multiply((head / s)[..., None], x2, out=out[..., 1:])
+    np.copyto(out, 0.0, where=(x1 <= -s)[..., None])  # in -K
+    np.copyto(out, g, where=(x1 >= s)[..., None])  # in K, which wins where both hold
     return out
 
 
@@ -286,8 +271,9 @@ def cone_membership(x, cone: ConeStructure, tol: float = 1e-10) -> list[Membersh
         raise ValueError(f"tol must be >= 0, got {quoted(tol)}")
     x = as_vector(x, cone.dim)
     out = []
-    for sl in cone.slices():
-        lam1, lam2 = eigenvalues(x[sl])
+    for i, tail in cone._parts:
+        x1, s, _ = _split(x, i, tail)
+        lam1, lam2 = x1 - s, x1 + s
         if lam1 > tol:
             out.append(Membership.INTERIOR)
         elif lam1 >= -tol and lam2 >= -tol:

@@ -39,6 +39,13 @@ def test_a_must_be_square():
         AveProblem(np.ones((2, 3)), [0.0, 0.0], ConeStructure((2,)))
 
 
+def test_a_problem_equals_itself_alone_and_hashes():
+    # a field-wise == would compare the arrays of b, whose truth is ambiguous
+    p, q = example_toy("unique"), example_toy("unique")
+    assert p == p and p != q
+    assert len({p, q, p}) == 2
+
+
 class TestResidual:
     def test_zero_at_unique_solution(self, unique):
         assert residual(unique, [0.0, 1.0]).tolist() == [0, 0]

@@ -1,8 +1,8 @@
 """linalg.vector_norm is the one Euclidean norm of the package: no other
 function of src/socave takes ||v|| by a formula of its own (np.linalg.norm,
 math.hypot, or a square root of a dot product). The batched tail norms of
-soc._spectral_blocks, a square root of a stack of matmul products, are the
-one exception, and they take vector_norm where they overflow."""
+soc._tail_norms, a square root of a stack of matmul products, are the one
+exception, and they take vector_norm where they overflow."""
 
 import ast
 from pathlib import Path

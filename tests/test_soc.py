@@ -80,6 +80,19 @@ class TestSpectralDecompose:
         with pytest.raises(ValueError, match="block size >= 2"):
             spectral_decompose(np.array([1.0]))
 
+    @pytest.mark.parametrize("xb, match", [
+        (np.array([]), "size >= 1"),
+        (np.array([[1.0, 0.0]]), "ndim=1"),
+        (np.array([1.0, math.nan]), "finite number"),
+        ("12", "finite number"),
+    ], ids=["empty", "2-d", "nan", "string"])
+    def test_eigenvalues_validate_their_block(self, xb, match):
+        with pytest.raises(ValueError, match=match):
+            eigenvalues(xb)
+
+    def test_eigenvalues_of_a_list(self):
+        assert eigenvalues([1, 3, 4]) == (-4.0, 6.0)
+
     @given(finite_vectors(4))
     def test_reconstruction_and_frame_invariants(self, x):
         d = spectral_decompose(x)
@@ -120,16 +133,17 @@ class TestSocAbs:
         assert soc_abs(np.array([-1.0, 2.0, -3.0]), cone).tolist() == [1, 2, 3]
 
     @pytest.mark.parametrize("blocks, x, expected", [
-        # x is in K, so |x| is x, though 0.5 * (lo + hi) overflows
+        # x is in K, so |x| is x, though x1 + s overflows
         ((2,), [1.7e308, 1e150], [1.7e308, 1e150]),
         # the tail's square overflows: the tail norm of one row must be as
-        # silent as that of the grouped pass of a batch, and is then scaled
-        ((2,), [1.0, 1e200], [1e200, 0.0]),
-        ((2, 1, 2), [1.0, 1e200, 3.0, 1.0, 2.0], [1e200, 0.0, 3.0, 2.0, 1.0]),
+        # silent as that of the grouped pass of a batch. The tail of |x| is
+        # exact: |x| o |x| has the tail 2 * x1 * x2 = 2e200
+        ((2,), [1.0, 1e200], [1e200, 1.0]),
+        ((2, 1, 2), [1.0, 1e200, 3.0, 1.0, 2.0], [1e200, 1.0, 3.0, 2.0, 1.0]),
     ], ids=["head", "tail", "tail of three blocks"])
     def test_overflow_on_finite_input_is_silent(self, blocks, x, expected):
-        # the head's 0.5 * (lo + hi) of a finite x can overflow, or its
-        # tail's sum of squares can; neither warns, and |x| is finite
+        # a finite x1 + s can overflow, or the tail's sum of squares can;
+        # neither warns, and |x| is finite
         cone = ConeStructure(blocks)
         assert cone._row_by_block  # one row goes block by block, through _abs_into
         batch = np.array([x, x[::-1]])
@@ -371,31 +385,26 @@ def test_blockwise_matches_per_block(seed):
 
 
 def _reference_abs_kernel(x, cone):
-    """abs_kernel as it was with numpy-scalar heads and reference_norm tails,
-    kept here as the reference the kernel must match bit for bit. A finite
-    block whose head overflows in 0.5 * (lo + hi) takes the exact forms
-    max(|x1|, s) and copysign(min(|x1|, s), x1) / s."""
+    """|x| block by block in closed form, with numpy-scalar heads and
+    reference_norm tails: x in K, -x in -K and (s, (x1/s)*x2) between them,
+    (|x1|, +0.0) where s is taken as 0. The reference the kernel must match
+    bit for bit."""
     out = np.empty_like(x)
     for sl in cone.slices():
         xb = x[sl]
-        if xb.shape[0] == 1:
-            out[sl] = abs(xb[0])
-            continue
-        s = reference_norm(xb[1:])
+        s = reference_norm(xb[1:]) if xb.shape[0] > 1 else 0.0
         if s < TAIL_ZERO_TOL:
             s = 0.0
         if s == 0.0:
             out[sl][0] = abs(xb[0])
             out[sl][1:] = 0.0
+        elif xb[0] >= s:
+            out[sl] = xb
+        elif xb[0] <= -s:
+            out[sl] = -xb
         else:
-            lo = abs(xb[0] - s)
-            hi = abs(xb[0] + s)
-            head, factor = 0.5 * (lo + hi), 0.5 * (hi - lo) / s
-            if head == math.inf and abs(xb[0]) < math.inf and s < math.inf:
-                head = max(abs(xb[0]), s)
-                factor = math.copysign(min(abs(xb[0]), s), xb[0]) / s
-            out[sl][0] = head
-            out[sl][1:] = factor * xb[1:]
+            out[sl][0] = s
+            out[sl][1:] = (xb[0] / s) * xb[1:]
     return out
 
 
@@ -616,9 +625,15 @@ class TestSplitBitwise:
         _case((2, 3), [-math.inf, math.inf, 1.0, math.nan, 0.0]),
     ])
     def test_eigenvalues(self, case):
+        # a block with a nan or an inf is an invalid input, as it is for
+        # spectral_decompose
         cone, x = case
         with np.errstate(all="ignore"):
             for sl in cone.slices():
+                if not np.isfinite(x[sl]).all():
+                    with pytest.raises(ValueError, match="must be a finite number"):
+                        eigenvalues(x[sl])
+                    continue
                 assert _bits(np.array(eigenvalues(x[sl]))) == \
                     _bits(np.array(_reference_eigenvalues(x[sl])))
 
@@ -674,3 +689,81 @@ def test_in_cone_is_lam1_at_least_minus_tol(case):
         for tol in (0.0, TAIL_ZERO_TOL, 1e-10, 1.0):
             assert in_cone(x, cone, tol) == all(
                 _reference_eigenvalues(x[sl])[0] >= -tol for sl in cone.slices())
+
+
+@st.composite
+def blocks_in_k_or_minus_k(draw):
+    """A cone of 1-10 blocks of sizes 1-6, a (k, dim) batch, k = 1-4, whose
+    every block lies in K or in -K, and the (k, dim) array that is +1 on the
+    blocks in K and -1 on those in -K. Each block with a tail has s > 0, and
+    each of size 1 a head other than 0, so no block lies in both."""
+    cone = ConeStructure(draw(st.lists(st.integers(1, 6), min_size=1, max_size=10)))
+    k = draw(st.integers(1, 4))
+    magnitude = st.floats(1e-3, 1e300)
+    entry = st.one_of(magnitude, magnitude.map(lambda v: -v), st.sampled_from([0.0, -0.0]))
+    x, side = np.empty((k, cone.dim)), np.empty((k, cone.dim))
+    for row in range(k):
+        for sl in cone.slices():
+            m = sl.stop - sl.start
+            tail = np.array([draw(magnitude), *draw(st.lists(entry, min_size=m - 2, max_size=m - 2))]
+                            if m > 1 else [])
+            gap = draw(st.one_of(st.just(0.0), magnitude) if m > 1 else magnitude)
+            head = draw(st.floats(1.0, 4.0)) * reference_norm(tail) + gap  # >= s
+            side[row, sl] = draw(st.sampled_from([1.0, -1.0]))
+            x[row, sl] = side[row, sl] * np.array([head, *tail])
+    return cone, x, side
+
+
+class TestClosedForms:
+    """|x| is x in K, -x in -K and (s, (x1/s)*x2) between them; P_K is x in
+    K and 0 in -K. One row, block by block or grouped, and a batch give the
+    same bits."""
+
+    @settings(max_examples=200)
+    @given(blocks_in_k_or_minus_k())
+    @example((ConeStructure((3, 1, 2)),
+              np.array([[1e5, 1e-9, 0.0, -2.0, -1.0, -1.0]]), np.array([[1, 1, 1, -1, -1, -1.0]])))
+    def test_a_block_in_k_or_minus_k_is_exact(self, case):
+        cone, x, side = case
+        expected_abs = side * x
+        expected_project = np.where(side > 0, x, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _bits(abs_kernel(x, cone)) == _bits(expected_abs)
+            assert _bits(project_kernel(x, cone)) == _bits(expected_project)
+            for row, a, p in zip(x, expected_abs, expected_project):
+                for got in (abs_kernel(row, cone), soc_abs(row, cone)):
+                    assert _bits(got) == _bits(a)
+                for got in (project_kernel(row, cone), project_cone(row, cone)):
+                    assert _bits(got) == _bits(p)
+
+    @pytest.mark.parametrize("x", [
+        [-2.0, -1e-15], [3.0, 1e-15], [-0.0, -0.0], [1e-20, -9e-15], [0.0, -5e-324],
+    ])
+    def test_a_tail_taken_as_zero_gives_abs_x1_and_plus_zero(self, x):
+        # x1 / s * x2 would give -0.0 where x1 and x2 differ in sign; the tail
+        # is written +0.0, on the block-by-block path and the grouped pass
+        expected = [abs(x[0]), 0.0]
+        assert K2._row_by_block
+        for got in (abs_kernel(np.array(x), K2), *abs_kernel(np.array([x, x]), K2)):
+            assert _bits(got) == _bits(np.array(expected))
+            assert not np.signbit(got).any()
+
+    @pytest.mark.parametrize("x, expected", [
+        ([math.nan, 1.0], [1.0, math.nan]),  # neither: the head is s
+        ([1.0, math.nan], [math.nan, math.nan]),
+        ([math.nan, 0.0], [math.nan, 0.0]),  # the tail is taken as zero
+        ([math.inf, 1.0], [math.inf, 1.0]),  # in K
+        ([-math.inf, 1.0], [math.inf, -1.0]),  # in -K
+        ([math.inf, math.inf], [math.inf, math.inf]),
+        ([-math.inf, math.inf], [math.inf, -math.inf]),
+        ([1.0, math.inf], [math.inf, math.nan]),  # neither: 0 * inf
+        ([-math.inf, -1e-15], [math.inf, 0.0]),
+    ])
+    def test_a_nan_or_inf_gives_the_same_bits_on_both_paths(self, x, expected):
+        assert K2._row_by_block
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = [abs_kernel(np.array(x), K2), *abs_kernel(np.array([x, x]), K2)]
+        for got in rows:
+            assert _bits(got) == _bits(np.array(expected))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,12 +122,12 @@ def as_tspan(tspan) -> tuple[float, float]:
 
 def vector_norm(v: np.ndarray) -> float:
     """||v||, the package's one Euclidean norm of a real float vector. It is
-    sqrt(v . v), the arithmetic of np.linalg.norm, by np.vdot: the ddot of
-    v.dot(v) without its floating-point check, so an overflow is silent.
-    Where that sum of squares overflows (a norm past about 1.34e154), it is
-    math.hypot of v, which is finite wherever ||v|| is within the float range."""
-    s = math.sqrt(np.vdot(v, v))
-    return math.hypot(*v) if s == math.inf else s
+    sqrt(v . v) by np.vdot, the ddot of np.linalg.norm without its
+    floating-point check, so an overflow is silent. Where that sum of squares
+    is not a normal float (a norm past about 1.34e154, or below 2**-511 but
+    not 0), it is math.hypot of v, precise over the whole float range."""
+    ss = float(np.vdot(v, v))
+    return math.hypot(*v) if 0.0 < ss < sys.float_info.min or ss == math.inf else math.sqrt(ss)
 
 
 class DenseOperator:

@@ -40,6 +40,8 @@ class AveProblem:
         if A.shape[0] != A.shape[1]:
             raise ValueError("A must be square")
         b = as_vector(self.b, A.shape[0], "b").copy()  # the caller's b stays writable
+        if not isinstance(self.cone, ConeStructure):
+            raise ValueError(f"cone must be a ConeStructure, got {quoted(self.cone)}")
         if self.cone.dim != A.shape[0]:
             raise ValueError("cone dimension must match A")
         if not isinstance(self.name, str):

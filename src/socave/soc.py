@@ -9,15 +9,12 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import as_count, as_finite, as_vector, quoted, silent, vector_norm
-
-# below this, the tail of a block is taken as exactly zero: the block's
-# Jordan frame is fixed to the first axis, and its |x| is (|x1|, 0)
-TAIL_ZERO_TOL = 1e-14
 
 # one grouped pass over the blocks of one size with tails costs about as much
 # as this many blocks taken one by one (about 12 and 1.5 us on a 2-vCPU
@@ -33,10 +30,10 @@ class ConeStructure:
     dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "blocks",
-                           tuple(as_count(b, "block size") for b in self.blocks))
-        if not self.blocks:
-            raise ValueError("at least one block required")
+        blocks = tuple(self.blocks) if np.iterable(self.blocks) else ()
+        if not blocks:
+            raise ValueError(f"cone blocks must be a non-empty sequence, got {quoted(self.blocks)}")
+        object.__setattr__(self, "blocks", tuple(as_count(b, "block size") for b in blocks))
         # built once for the kernels: per block (head index, tail slice), the
         # tail of a size-1 block empty; and per block size m, the (blocks, m)
         # indices of the blocks of that size, or None when every block has
@@ -86,11 +83,10 @@ class Membership(enum.Enum):
 
 def _split(x: np.ndarray, i: int, tail: slice):
     """(x1, s, x2) of the block of x with head index i: x2 = x[tail] and
-    s = vector_norm(x2), taken as 0 below TAIL_ZERO_TOL. x1 and s are Python
-    floats, so x1 -/+ s gives inf or nan with no warning where it overflows."""
+    s = vector_norm(x2). x1 and s are Python floats, so x1 -/+ s gives inf
+    or nan with no warning where it overflows."""
     x2 = x[tail]
-    s = vector_norm(x2)
-    return float(x[i]), (0.0 if s < TAIL_ZERO_TOL else s), x2
+    return float(x[i]), vector_norm(x2), x2
 
 
 def eigenvalues(xb: np.ndarray) -> tuple[float, float]:
@@ -105,8 +101,8 @@ def eigenvalues(xb: np.ndarray) -> tuple[float, float]:
 def spectral_decompose(xb: np.ndarray) -> SpectralDecomp:
     """Spectral decomposition of one block of size >= 2.
 
-    When the tail vanishes the frame direction is fixed to the first
-    coordinate axis, so the result is deterministic.
+    When the tail is zero (its sum of squares is 0) the frame direction is
+    fixed to the first coordinate axis, so the result is deterministic.
     """
     xb = as_vector(xb)
     if xb.shape[0] < 2:
@@ -190,24 +186,25 @@ def _abs_into(x: np.ndarray, cone: ConeStructure, out: np.ndarray) -> None:
 
 
 def _tail_norms(t: np.ndarray) -> np.ndarray:
-    """s = ||x2|| of each tail x2 stacked in t, taken as 0 below
-    TAIL_ZERO_TOL: the tail norm of _split, elementwise. Run under its
+    """s = ||x2|| of each tail x2 stacked in t: vector_norm of each tail,
+    elementwise, and 0 exactly where its sum of squares is 0. Run under its
     callers' silent, as a tail's square overflows or underflows in matmul."""
     # a stack of (1, m-1) @ (m-1, 1) products is one ddot per tail, the same
     # call as vector_norm's np.vdot; the tails must have unit stride
-    s = np.sqrt(np.matmul(t[..., None, :], t[..., :, None])[..., 0, 0])
-    # vector_norm where the sum of squares overflows; s is >= 0 or nan, so
-    # one sum finds an inf, where np.isinf(s).any() takes two calls
-    if not math.isfinite(s.sum()):
-        big = s == math.inf
-        s[big] = [vector_norm(tail) for tail in t[big]]
-    s[s < TAIL_ZERO_TOL] = 0.0
+    ss = np.matmul(t[..., None, :], t[..., :, None])[..., 0, 0]
+    s = np.sqrt(ss)
+    # vector_norm, which keeps the rule, where a sum of squares is not a
+    # normal float (0, subnormal, inf or nan); ss is >= 0 or nan, so a normal
+    # least ss and a finite sum show in two calls that every one is normal
+    if not (ss.min() >= sys.float_info.min and math.isfinite(ss.sum())):
+        off = ~((ss >= sys.float_info.min) & (ss < math.inf))
+        s[off] = [vector_norm(tail) for tail in t[off]]
     return s
 
 
 def _abs_blocks(g: np.ndarray) -> np.ndarray:
     """|x| of the blocks (x1, x2) stacked in g: x in K, -x in -K, and
-    (s, (x1/s)*x2) between them; (|x1|, 0) where s is taken as 0."""
+    (s, (x1/s)*x2) between them; (|x1|, +0) where the tail is zero."""
     if g.shape[-1] == 1:
         return np.abs(g)
     x1, x2 = g[..., 0], g[..., 1:]

@@ -147,6 +147,17 @@ class TestVectorNorm:
             warnings.simplefilter("error")
             assert vector_norm(np.array(v, dtype=float)) == pytest.approx(norm, rel=1e-15)
 
+    def test_a_subnormal_sum_of_squares_takes_hypot(self):
+        # np.vdot gives 4.999972167879245e-160, from a subnormal 2.5e-319
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert vector_norm(np.array([3e-160, 4e-160])) == 5e-160
+
+    def test_a_zero_sum_of_squares_is_zero_without_hypot(self, monkeypatch):
+        monkeypatch.setattr(math, "hypot", lambda *v: pytest.fail("math.hypot called"))
+        for v in ([0.0, -0.0, 0.0], [1e-170, -1e-200]):  # every square is or underflows to 0
+            assert vector_norm(np.array(v)) == 0.0
+
     # as np.linalg.norm: a nan in the sum of squares is not an overflow
     @pytest.mark.parametrize("v, norm", [([math.inf, 1.0], math.inf), ([math.nan, 1.0], None),
                                          ([math.inf, math.nan], None)])

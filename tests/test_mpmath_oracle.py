@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from norm_reference import reference_norm
-from socave.soc import TAIL_ZERO_TOL, ConeStructure, abs_kernel
+from socave.soc import ConeStructure, abs_kernel
 
 mp = pytest.importorskip("mpmath").mp
 mp.dps = 60
@@ -41,11 +41,11 @@ def _draw_blocks(seed: int) -> np.ndarray:
 
 
 def _spectral_abs(xb: np.ndarray) -> np.ndarray:
-    """|x| of one block by the float64 spectral formula, with the tail taken
-    as zero below TAIL_ZERO_TOL."""
+    """|x| of one block by the float64 spectral formula, and (|x1|, 0)
+    where the tail norm is 0."""
     x1, x2 = float(xb[0]), xb[1:]
     s = reference_norm(x2)
-    if s < TAIL_ZERO_TOL:
+    if s == 0.0:
         return np.array([abs(x1), *np.zeros(x2.size)])
     lo, hi = abs(x1 - s), abs(x1 + s)
     return np.array([0.5 * (lo + hi), *((0.5 * (hi - lo) / s) * x2)])

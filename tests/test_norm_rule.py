@@ -2,7 +2,9 @@
 function of src/socave takes ||v|| by a formula of its own (np.linalg.norm,
 math.hypot, or a square root of a dot product). The batched tail norms of
 soc._tail_norms, a square root of a stack of matmul products, are the one
-exception, and they take vector_norm where they overflow."""
+exception, and they take vector_norm where vector_norm takes math.hypot:
+where the sum of squares is not a normal float, as it overflows or is below
+sys.float_info.min without being 0."""
 
 import ast
 from pathlib import Path

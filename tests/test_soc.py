@@ -7,11 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from norm_reference import reference_norm
+from norm_reference import NORMAL_NORM_MIN, reference_norm
 from socave import soc
 from socave.linalg import vector_norm
+from socave.model import AveProblem
 from socave.soc import (
-    TAIL_ZERO_TOL,
     ConeStructure,
     abs_kernel,
     Membership,
@@ -56,6 +56,11 @@ class TestConeStructure:
             ConeStructure(())
         with pytest.raises(ValueError):
             ConeStructure((2, 0))
+        # a malformed cone is a ValueError naming it, as any malformed input
+        with pytest.raises(ValueError, match="non-empty sequence, got 5$"):
+            ConeStructure(5)
+        with pytest.raises(ValueError, match=r"cone must be a ConeStructure, got \(2,\)$"):
+            AveProblem(np.eye(2), [0.0, 0.0], (2,))
 
 
 class TestSpectralDecompose:
@@ -94,6 +99,8 @@ class TestSpectralDecompose:
         assert eigenvalues([1, 3, 4]) == (-4.0, 6.0)
 
     @given(finite_vectors(4))
+    # the tail's sum of squares is subnormal: math.hypot keeps the frame unit
+    @example(np.full(4, 7.85e-158))
     def test_reconstruction_and_frame_invariants(self, x):
         d = spectral_decompose(x)
         assert d.lam1 <= d.lam2
@@ -124,9 +131,16 @@ class TestSocAbs:
         ([0, 2], [2, 0]),
         ([1, 2], [2, 1]),
         ([3, 1], [3, 1]),
+        # a tail is zero only when its sum of squares is: these are exact
+        ([3, 1e-15], [3, 1e-15]),
+        ([-2, -1e-15], [2, 1e-15]),
+        ([1e-20, -9e-15], [9e-15, -1e-20]),
+        ([1e-16, 1e-15], [1e-15, 1e-16]),
     ])
     def test_known_values(self, x, expected):
+        # one row takes the blocks one by one, a batch the grouped pass
         assert soc_abs(np.array(x, dtype=float), K2).tolist() == expected
+        assert abs_kernel(np.array([x, x], dtype=float), K2).tolist() == [expected, expected]
 
     def test_scalar_blocks_are_componentwise(self):
         cone = ConeStructure((1, 1, 1))
@@ -276,6 +290,7 @@ class TestProjectCone:
         ([3, 1], [3, 1]),     # inside K
         ([-3, 1], [0, 0]),    # inside -K
         ([0, 2], [1, 1]),     # neither
+        ([1e-16, 1e-15], [5.500000000000001e-16, 5.500000000000001e-16]),  # neither
     ])
     def test_known_values(self, x, expected):
         assert project_cone(np.array(x, dtype=float), K2).tolist() == expected
@@ -387,14 +402,12 @@ def test_blockwise_matches_per_block(seed):
 def _reference_abs_kernel(x, cone):
     """|x| block by block in closed form, with numpy-scalar heads and
     reference_norm tails: x in K, -x in -K and (s, (x1/s)*x2) between them,
-    (|x1|, +0.0) where s is taken as 0. The reference the kernel must match
-    bit for bit."""
+    (|x1|, +0.0) where s is 0. The reference the kernel must match bit for
+    bit."""
     out = np.empty_like(x)
     for sl in cone.slices():
         xb = x[sl]
         s = reference_norm(xb[1:]) if xb.shape[0] > 1 else 0.0
-        if s < TAIL_ZERO_TOL:
-            s = 0.0
         if s == 0.0:
             out[sl][0] = abs(xb[0])
             out[sl][1:] = 0.0
@@ -419,7 +432,6 @@ def _reference_project_cone(x, cone):
             out[sl] = max(xb[0], 0.0)
             continue
         s = reference_norm(xb[1:])
-        s = 0.0 if s < TAIL_ZERO_TOL else s
         if xb[0] >= s:
             out[sl] = xb
         elif xb[0] <= -s:
@@ -450,11 +462,11 @@ def _bits(a):
     return np.where(np.isnan(a), np.nan, a).tobytes()
 
 
-BELOW_TOL = float(np.nextafter(TAIL_ZERO_TOL, 0.0))
-ABOVE_TOL = float(np.nextafter(TAIL_ZERO_TOL, 1.0))
-SPECIAL = [0.0, -0.0, 1.0, -2.5, TAIL_ZERO_TOL, -TAIL_ZERO_TOL, BELOW_TOL, ABOVE_TOL,
-           0.6 * TAIL_ZERO_TOL, 0.8 * TAIL_ZERO_TOL, 1e-300, 1e308, -1e308,
-           math.inf, -math.inf, math.nan]
+BELOW_NORMAL = float(np.nextafter(NORMAL_NORM_MIN, 0.0))
+# squares that are normal (1e-15, NORMAL_NORM_MIN), subnormal (BELOW_NORMAL,
+# 3e-160) or 0 (1e-170, 1e-300)
+SPECIAL = [0.0, -0.0, 1.0, -2.5, 1e-15, -1e-15, NORMAL_NORM_MIN, BELOW_NORMAL, 3e-160, -3e-160,
+           1e-170, 1e-300, 1e308, -1e308, math.inf, -math.inf, math.nan]
 entries = st.one_of(st.floats(width=64), st.sampled_from(SPECIAL))
 
 
@@ -493,10 +505,10 @@ class TestAbsKernelBitwise:
     @given(cone_and_vector())
     @example(_case((1, 1, 1), [-0.0, -3.0, math.nan]))  # size-1 blocks
     @example(_case((3, 2), [-2.0, 0.0, 0.0, 5.0, -0.0]))  # zero tails
-    # tails with norm just below, at and above TAIL_ZERO_TOL; 0.6 and 0.8 of
-    # it make a tail of norm TAIL_ZERO_TOL up to rounding
-    @example(_case((2, 2, 2, 3), [1.0, BELOW_TOL, -1.0, TAIL_ZERO_TOL, 0.5, -ABOVE_TOL,
-                                  0.0, 0.6 * TAIL_ZERO_TOL, 0.8 * TAIL_ZERO_TOL]))
+    # tails whose sum of squares is normal, subnormal and 0; the last is
+    # subnormal too, and its norm, from math.hypot, is 5e-160 exactly
+    @example(_case((2, 2, 2, 3), [1.0, 1e-15, -1.0, BELOW_NORMAL, 0.5, -1e-170,
+                                  0.0, 3e-160, 4e-160]))
     @example(_case((3, 3, 2), [math.inf, 1.0, 2.0, 1.0, -math.inf, 0.0, math.nan, 1.0]))
     @example(_case((2, 3), [-math.inf, math.inf, 1.0, math.nan, 0.0]))
     @example(_case((3,), [1e308, 1e308, -1e308]))  # the tail norm overflows
@@ -516,9 +528,9 @@ class TestAbsKernelBitwise:
               np.random.default_rng(11).standard_normal((5, 15)).round(3)))
     @example(_case((1, 1, 1), [[-0.0, 2.0, math.nan], [3.0, -math.inf, 0.0]]))
     # one row, but enough blocks for the grouped pass
-    @example(_case((2,) * 8, [[1.0, BELOW_TOL, -1.0, TAIL_ZERO_TOL, 0.5, -ABOVE_TOL, -0.0, 0.0,
-                               math.inf, 1.0, 2.0, math.nan, 1e308, 1e308, -2.5, 0.6 * TAIL_ZERO_TOL]]))
-    @example(_case((3, 3), [[1.0, BELOW_TOL, 0.0, -1.0, 0.0, ABOVE_TOL],
+    @example(_case((2,) * 8, [[1.0, BELOW_NORMAL, -1.0, NORMAL_NORM_MIN, 0.5, -1e-170, -0.0, 0.0,
+                               math.inf, 1.0, 2.0, math.nan, 1e308, 1e308, -2.5, 3e-160]]))
+    @example(_case((3, 3), [[1.0, 3e-160, 4e-160, -1.0, 0.0, BELOW_NORMAL],
                              [math.inf, 1.0, 2.0, 1e308, 1e308, -1e308]]))
     def test_batch_rows_match_reference(self, kernel, reference, case):
         cone, x = case
@@ -529,8 +541,8 @@ class TestAbsKernelBitwise:
 
     @BATCH_KERNELS
     def test_a_subnormal_tail_in_a_batch_is_silent(self, kernel, reference):
-        # its square underflows in matmul, and the tail's quotient would
-        # divide by the tail norm that is taken as 0
+        # its square underflows to 0 in matmul, so the tail is zero, and the
+        # tail's quotient would divide by its norm 0
         x = np.array([[1.0, 5e-324], [1.0, 5e-324]])
         with np.errstate(all="ignore"):
             expected = np.array([reference(row, K2) for row in x])
@@ -552,7 +564,6 @@ class TestAbsKernelBitwise:
 # numpy-scalar heads and the size-1 branches they had.
 def _reference_eigenvalues(xb):
     s = reference_norm(xb[1:]) if xb.shape[0] > 1 else 0.0
-    s = 0.0 if s < TAIL_ZERO_TOL else s
     return float(xb[0]) - s, float(xb[0]) + s
 
 
@@ -591,15 +602,15 @@ def finite_cone_and_pair(draw):
     return cone, x, np.array(y, dtype=float)
 
 
-# size-1 blocks with signed zeros; zero tails; tails with norm just below, at
-# and above TAIL_ZERO_TOL; a head on the boundary of K and of -K
+# size-1 blocks with signed zeros; zero tails; tails whose sum of squares is
+# normal, subnormal or 0; a head on the boundary of K and of -K
 FINITE_CASES = [
     _case((1, 1, 1, 1), [-0.0, 0.0, -3.0, 2.0]),
     _case((3, 2, 2), [-2.0, 0.0, -0.0, 5.0, -0.0, -0.0, 0.0]),
-    _case((2, 2, 2, 3), [1.0, BELOW_TOL, -1.0, TAIL_ZERO_TOL, 0.5, -ABOVE_TOL,
-                         0.0, 0.6 * TAIL_ZERO_TOL, 0.8 * TAIL_ZERO_TOL]),
-    _case((2, 2, 2, 2), [BELOW_TOL, BELOW_TOL, -ABOVE_TOL, ABOVE_TOL,
-                         TAIL_ZERO_TOL, -0.0, -0.0, TAIL_ZERO_TOL]),
+    _case((2, 2, 2, 3), [1.0, 1e-15, -1.0, BELOW_NORMAL, 0.5, -1e-170,
+                         0.0, 3e-160, 4e-160]),
+    _case((2, 2, 2, 2), [BELOW_NORMAL, BELOW_NORMAL, -NORMAL_NORM_MIN, NORMAL_NORM_MIN,
+                         1e-170, -0.0, -0.0, 1e-170]),
     _case((3, 2), [5.0, 3.0, 4.0, -5.0, 5.0]),
     _case((3,), [1e308, 1e308, -1e308]),  # the tail norm overflows
 ]
@@ -674,7 +685,7 @@ class TestSplitBitwise:
     def test_cone_membership(self, case):
         cone, x = case
         with np.errstate(all="ignore"):
-            for tol in (0.0, TAIL_ZERO_TOL, 1e-10, 1.0):
+            for tol in (0.0, 1e-14, 1e-10, 1.0):
                 assert cone_membership(x, cone, tol) == \
                     _reference_cone_membership(x, cone, tol)
 
@@ -686,7 +697,7 @@ def test_in_cone_is_lam1_at_least_minus_tol(case):
     # in_cone reads cone_membership's labels; for tol >= 0 that is this test
     cone, x = case
     with np.errstate(all="ignore"):
-        for tol in (0.0, TAIL_ZERO_TOL, 1e-10, 1.0):
+        for tol in (0.0, 1e-14, 1e-10, 1.0):
             assert in_cone(x, cone, tol) == all(
                 _reference_eigenvalues(x[sl])[0] >= -tol for sl in cone.slices())
 
@@ -714,6 +725,20 @@ def blocks_in_k_or_minus_k(draw):
     return cone, x, side
 
 
+@st.composite
+def blocks_and_scale(draw):
+    """A cone of 1-10 blocks of sizes 1-6, a (k, dim) batch, k = 1-4, of
+    entries 0 or of magnitude 2**-200 to 4, and c = 2**-j, j = 0-100: every
+    entry of c*x and every square of one stays a normal float, so that
+    scaling by c is exact."""
+    cone = ConeStructure(draw(st.lists(st.integers(1, 6), min_size=1, max_size=10)))
+    k = draw(st.integers(1, 4))
+    magnitude = st.floats(2.0**-200, 4.0)
+    entry = st.one_of(magnitude, magnitude.map(lambda v: -v), st.sampled_from([0.0, -0.0]))
+    x = draw(st.lists(entry, min_size=k * cone.dim, max_size=k * cone.dim))
+    return cone, np.array(x).reshape(k, cone.dim), 2.0 ** -draw(st.integers(0, 100))
+
+
 class TestClosedForms:
     """|x| is x in K, -x in -K and (s, (x1/s)*x2) between them; P_K is x in
     K and 0 in -K. One row, block by block or grouped, and a batch give the
@@ -737,12 +762,34 @@ class TestClosedForms:
                 for got in (project_kernel(row, cone), project_cone(row, cone)):
                     assert _bits(got) == _bits(p)
 
+    @settings(max_examples=200)
+    @given(blocks_and_scale())
+    @example((K2, np.array([[1e-16, 1e-15]]), 1.0))
+    @example((ConeStructure((1, 2, 3, 4)), np.linspace(-1.0, 1.0, 10)[None], 2.0**-60))
+    def test_abs_and_projection_are_positively_homogeneous(self, case):
+        # |cx| = c|x| and P_K(cx) = c P_K(x) for c > 0, bit for bit at a power
+        # of two, on one row and on a batch; and P_K(x) lies in K to rounding
+        cone, x, c = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kernel in (abs_kernel, project_kernel):
+                assert _bits(kernel(c * x, cone)) == _bits(c * kernel(x, cone))
+                for row in x:
+                    assert _bits(kernel(c * row, cone)) == _bits(c * kernel(row, cone))
+            for row in project_kernel(x, cone):
+                for sl in cone.slices():
+                    lam1, lam2 = eigenvalues(row[sl])
+                    assert lam1 >= -1e-15 * lam2
+
+    # a tail is zero where its sum of squares is: it is -0.0 or every square
+    # underflows to 0
     @pytest.mark.parametrize("x", [
-        [-2.0, -1e-15], [3.0, 1e-15], [-0.0, -0.0], [1e-20, -9e-15], [0.0, -5e-324],
+        [-2.0, -1e-170], [3.0, -0.0], [-0.0, -0.0], [1e-20, -9e-170], [0.0, -5e-324],
     ])
     def test_a_tail_taken_as_zero_gives_abs_x1_and_plus_zero(self, x):
-        # x1 / s * x2 would give -0.0 where x1 and x2 differ in sign; the tail
-        # is written +0.0, on the block-by-block path and the grouped pass
+        # x1 / s * x2 would give -0.0 where x1 and x2 differ in sign, or nan
+        # as s is 0; the tail is written +0.0, on the block-by-block path and
+        # the grouped pass
         expected = [abs(x[0]), 0.0]
         assert K2._row_by_block
         for got in (abs_kernel(np.array(x), K2), *abs_kernel(np.array([x, x]), K2)):
@@ -752,13 +799,13 @@ class TestClosedForms:
     @pytest.mark.parametrize("x, expected", [
         ([math.nan, 1.0], [1.0, math.nan]),  # neither: the head is s
         ([1.0, math.nan], [math.nan, math.nan]),
-        ([math.nan, 0.0], [math.nan, 0.0]),  # the tail is taken as zero
+        ([math.nan, 0.0], [math.nan, 0.0]),  # the tail is zero
         ([math.inf, 1.0], [math.inf, 1.0]),  # in K
         ([-math.inf, 1.0], [math.inf, -1.0]),  # in -K
         ([math.inf, math.inf], [math.inf, math.inf]),
         ([-math.inf, math.inf], [math.inf, -math.inf]),
         ([1.0, math.inf], [math.inf, math.nan]),  # neither: 0 * inf
-        ([-math.inf, -1e-15], [math.inf, 0.0]),
+        ([-math.inf, -1e-15], [math.inf, 1e-15]),  # in -K
     ])
     def test_a_nan_or_inf_gives_the_same_bits_on_both_paths(self, x, expected):
         assert K2._row_by_block

@@ -120,14 +120,29 @@ def as_tspan(tspan) -> tuple[float, float]:
     return t[0], t[1]
 
 
-def vector_norm(v: np.ndarray) -> float:
-    """||v||, the package's one Euclidean norm of a real float vector. It is
-    sqrt(v . v) by np.vdot, the ddot of np.linalg.norm without its
-    floating-point check, so an overflow is silent. Where that sum of squares
-    is not a normal float (a norm past about 1.34e154, or below 2**-511 but
-    not 0), it is math.hypot of v, precise over the whole float range."""
+def vector_norm(v: np.ndarray):
+    """||v||, the package's one Euclidean norm: a float for a vector v, or
+    the norms of the vectors stacked along v's last axis, each as it is
+    alone. It is the square root of one ddot per vector (np.vdot, or a stack
+    of (1, m) @ (m, 1) matmul products of unit-stride rows), np.linalg.norm's
+    call without its floating-point check. Where the sum of squares is not a
+    normal float (a norm past about 1.34e154 or below 2**-511, 0 included),
+    it is math.hypot, precise over the float range, so the norm is 0 only
+    for a zero vector. A stack runs under its callers' silent, as matmul
+    warns where a square overflows."""
+    if v.ndim > 1:
+        ss = np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0]
+        s = np.sqrt(ss)
+        # ss is >= 0 or nan, so a normal least ss and a finite sum show in
+        # two calls that every one is normal
+        if not (ss.min() >= sys.float_info.min and math.isfinite(ss.sum())):
+            off = ~((ss >= sys.float_info.min) & (ss < math.inf))
+            s[off] = [vector_norm(row) for row in v[off]]
+        return s
     ss = float(np.vdot(v, v))
-    return math.hypot(*v) if 0.0 < ss < sys.float_info.min or ss == math.inf else math.sqrt(ss)
+    # a nan sum is neither, so nan does not reach hypot, where hypot(inf, nan)
+    # is inf; hypot takes Python floats, which unpack faster than numpy's
+    return math.hypot(*v.tolist()) if ss < sys.float_info.min or ss == math.inf else math.sqrt(ss)
 
 
 class DenseOperator:

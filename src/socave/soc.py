@@ -8,8 +8,6 @@ of such blocks and every operation here is applied blockwise.
 from __future__ import annotations
 
 import enum
-import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,8 +99,8 @@ def eigenvalues(xb: np.ndarray) -> tuple[float, float]:
 def spectral_decompose(xb: np.ndarray) -> SpectralDecomp:
     """Spectral decomposition of one block of size >= 2.
 
-    When the tail is zero (its sum of squares is 0) the frame direction is
-    fixed to the first coordinate axis, so the result is deterministic.
+    When the tail is zero the frame direction is fixed to the first
+    coordinate axis, so the result is deterministic.
     """
     xb = as_vector(xb)
     if xb.shape[0] < 2:
@@ -171,9 +169,8 @@ def _abs_into(x: np.ndarray, cone: ConeStructure, out: np.ndarray) -> None:
     """abs_kernel of the vector x, block by block, written into out."""
     for i, tail in cone._parts:
         x1, s, xt = _split(x, i, tail)
-        if s == 0.0:
+        if not xt.size:  # K^1, the nonnegative reals, as _abs_blocks takes it
             out[i] = abs(x1)
-            out[tail] = 0.0
         elif x1 >= s:  # in K
             out[i] = x1
             out[tail] = xt
@@ -182,42 +179,22 @@ def _abs_into(x: np.ndarray, cone: ConeStructure, out: np.ndarray) -> None:
             np.negative(xt, out=out[tail])
         else:  # neither, or a nan
             out[i] = s
-            np.multiply(x1 / s, xt, out=out[tail])
-
-
-def _tail_norms(t: np.ndarray) -> np.ndarray:
-    """s = ||x2|| of each tail x2 stacked in t: vector_norm of each tail,
-    elementwise, and 0 exactly where its sum of squares is 0. Run under its
-    callers' silent, as a tail's square overflows or underflows in matmul."""
-    # a stack of (1, m-1) @ (m-1, 1) products is one ddot per tail, the same
-    # call as vector_norm's np.vdot; the tails must have unit stride
-    ss = np.matmul(t[..., None, :], t[..., :, None])[..., 0, 0]
-    s = np.sqrt(ss)
-    # vector_norm, which keeps the rule, where a sum of squares is not a
-    # normal float (0, subnormal, inf or nan); ss is >= 0 or nan, so a normal
-    # least ss and a finite sum show in two calls that every one is normal
-    if not (ss.min() >= sys.float_info.min and math.isfinite(ss.sum())):
-        off = ~((ss >= sys.float_info.min) & (ss < math.inf))
-        s[off] = [vector_norm(tail) for tail in t[off]]
-    return s
+            # s is 0 here only for a nan x1, where the float x1 / s raises
+            np.multiply(x1 / s if s else x1, xt, out=out[tail])
 
 
 def _abs_blocks(g: np.ndarray) -> np.ndarray:
     """|x| of the blocks (x1, x2) stacked in g: x in K, -x in -K, and
-    (s, (x1/s)*x2) between them; (|x1|, +0) where the tail is zero."""
+    (s, (x1/s)*x2) between them; |x1| for blocks of size 1."""
     if g.shape[-1] == 1:
         return np.abs(g)
     x1, x2 = g[..., 0], g[..., 1:]
-    s = _tail_norms(x2)
+    s = vector_norm(x2)
     out = np.empty_like(g)
     out[..., 0] = s
     np.multiply((x1 / s)[..., None], x2, out=out[..., 1:])
     np.negative(g, out=out, where=(x1 <= -s)[..., None])  # in -K
     np.copyto(out, g, where=(x1 >= s)[..., None])  # in K
-    if not s.all():
-        zero = s == 0.0
-        out[..., 0][zero] = np.abs(x1[zero])
-        out[..., 1:][zero] = 0.0
     return out
 
 
@@ -240,7 +217,7 @@ def _project_blocks(g: np.ndarray) -> np.ndarray:
     0.5*(x1 + s) wherever that sum is finite. Size 1 too: np.maximum(-0.0, 0)
     is 0.0, but -0.0 in K projects to -0.0."""
     x1, x2 = g[..., 0], g[..., 1:]
-    s = _tail_norms(x2)
+    s = vector_norm(x2)
     out = np.empty_like(g)
     head = out[..., 0]
     np.multiply(0.5, x1, out=head)

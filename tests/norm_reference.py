@@ -10,9 +10,9 @@ NORMAL_NORM_MIN = 2.0**-511
 
 def reference_norm(v):
     """np.linalg.norm of v, and math.hypot of it where the sum of squares is
-    not a normal float, as it overflows or is below the least normal float
-    without being 0, with no warning: the norm of every reference form,
-    which linalg.vector_norm must match bit for bit."""
+    not a normal float, as it overflows or is below the least normal float,
+    0 included, with no warning: the norm of every reference form, which
+    linalg.vector_norm must match bit for bit."""
     with np.errstate(over="ignore", under="ignore"):
         s = float(np.linalg.norm(v))
-    return math.hypot(*v) if s == math.inf or 0.0 < s < NORMAL_NORM_MIN else s
+    return math.hypot(*v) if s == math.inf or s < NORMAL_NORM_MIN else s

@@ -153,10 +153,24 @@ class TestVectorNorm:
             warnings.simplefilter("error")
             assert vector_norm(np.array([3e-160, 4e-160])) == 5e-160
 
-    def test_a_zero_sum_of_squares_is_zero_without_hypot(self, monkeypatch):
-        monkeypatch.setattr(math, "hypot", lambda *v: pytest.fail("math.hypot called"))
-        for v in ([0.0, -0.0, 0.0], [1e-170, -1e-200]):  # every square is or underflows to 0
-            assert vector_norm(np.array(v)) == 0.0
+    def test_a_vector_whose_squares_underflow_takes_hypot(self):
+        # np.vdot gives 0; one vector and a stack of them give 1e-170
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert vector_norm(np.array([1e-170])) == 1e-170
+            assert vector_norm(np.array([[1e-170], [1e-170]])).tolist() == [1e-170, 1e-170]
+
+    @given(npst.arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(0, 4)),
+                       elements=st.sampled_from([sign * m for m in (0.0, 5e-324, 1e-170, 1.0, 1e200)
+                                                 for sign in (1.0, -1.0)])))
+    def test_the_norm_is_zero_only_for_a_zero_vector(self, stack):
+        # each vector of a stack has the norm it has alone; a stack runs
+        # under its callers' silent
+        with np.errstate(over="ignore"):
+            norms = vector_norm(stack)
+        for v, norm in zip(stack, norms):
+            assert norm == vector_norm(v)
+            assert (norm == 0.0) == (not v.any())
 
     # as np.linalg.norm: a nan in the sum of squares is not an overflow
     @pytest.mark.parametrize("v, norm", [([math.inf, 1.0], math.inf), ([math.nan, 1.0], None),

@@ -22,11 +22,14 @@ mp.dps = 60
 
 CONE = ConeStructure((4,))
 BLOCKS = 3000
+TINY = 300
 
 
 def _draw_blocks(seed: int) -> np.ndarray:
-    """(BLOCKS, 4) blocks: tails of magnitudes 1e-3 to 1e3, each head drawn
-    generic, in K, in -K, or within 1e-8 of the boundary of K or of -K."""
+    """(BLOCKS + TINY, 4) blocks: tails of magnitudes 1e-3 to 1e3, each head
+    drawn generic, in K, in -K, or within 1e-8 of the boundary of K or of
+    -K; then TINY blocks between K and -K whose tails, of about 1e-170, have
+    squares that underflow."""
     rng = np.random.default_rng(seed)
     tails = rng.standard_normal((BLOCKS, 3)) * 10.0 ** rng.uniform(-3, 3, (BLOCKS, 1))
     s = np.sqrt((tails * tails).sum(axis=1))
@@ -37,16 +40,15 @@ def _draw_blocks(seed: int) -> np.ndarray:
         s * (1.0 + 1e-8 * rng.standard_normal(BLOCKS)),
         -s * (1.0 + 1e-8 * rng.standard_normal(BLOCKS)),
     ])
-    return np.column_stack((heads, tails))
+    unit = rng.standard_normal((TINY, 3))
+    tiny = np.column_stack((rng.uniform(-1, 1, TINY) * np.sqrt((unit * unit).sum(axis=1)), unit))
+    return np.vstack((np.column_stack((heads, tails)), 1e-170 * tiny))
 
 
 def _spectral_abs(xb: np.ndarray) -> np.ndarray:
-    """|x| of one block by the float64 spectral formula, and (|x1|, 0)
-    where the tail norm is 0."""
+    """|x| of one block by the float64 spectral formula."""
     x1, x2 = float(xb[0]), xb[1:]
     s = reference_norm(x2)
-    if s == 0.0:
-        return np.array([abs(x1), *np.zeros(x2.size)])
     lo, hi = abs(x1 - s), abs(x1 + s)
     return np.array([0.5 * (lo + hi), *((0.5 * (hi - lo) / s) * x2)])
 

@@ -1,10 +1,9 @@
-"""linalg.vector_norm is the one Euclidean norm of the package: no other
-function of src/socave takes ||v|| by a formula of its own (np.linalg.norm,
-math.hypot, or a square root of a dot product). The batched tail norms of
-soc._tail_norms, a square root of a stack of matmul products, are the one
-exception, and they take vector_norm where vector_norm takes math.hypot:
-where the sum of squares is not a normal float, as it overflows or is below
-sys.float_info.min without being 0."""
+"""linalg.vector_norm is the one Euclidean norm of the package, of one
+vector or of a stack of them: no other function of src/socave takes ||v||
+by a formula of its own (np.linalg.norm, math.hypot, or a square root of a
+dot product, np.matmul included), so every norm takes math.hypot where the
+sum of squares is not a normal float, as it overflows or is below
+sys.float_info.min, 0 included."""
 
 import ast
 from pathlib import Path
@@ -28,7 +27,7 @@ def _dotted(node):
 
 def _is_dot_product(node):
     return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("dot", "vdot", "inner")
+            and node.func.attr in ("dot", "vdot", "inner", "matmul")
             or isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult))
 
 
@@ -46,7 +45,7 @@ def norm_formulas(source: str) -> list[str]:
             found.extend(f"{node.lineno}: from {node.module} import {alias.name}"
                          for alias in node.names if (node.module, alias.name) in NORM_IMPORTS)
         elif (isinstance(node, ast.Call) and _dotted(node.func) in SQRTS
-              and any(_is_dot_product(arg) for arg in node.args)):
+              and any(_is_dot_product(n) for arg in node.args for n in ast.walk(arg))):
             found.append(f"{node.lineno}: {ast.unparse(node)}")
         for child in ast.iter_child_nodes(node):
             visit(child)
@@ -70,6 +69,7 @@ def test_vector_norm_is_in_linalg():
     "np.linalg.norm(v)", "numpy.linalg.norm(v)", "math.hypot(*v)",
     "math.sqrt(a.dot(a))", "math.sqrt(np.vdot(v, v))", "np.sqrt(np.inner(v, v))",
     "math.sqrt(d @ d)", "float(math.sqrt(v.dot(v)))",
+    "np.sqrt(np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0])",
 ])
 def test_each_formula_is_found(formula):
     assert len(norm_formulas(f"def f(a, d, v):\n    return {formula}\n")) == 1
@@ -81,5 +81,5 @@ def test_an_imported_norm_is_found(source):
     assert len(norm_formulas(source)) == 1
 
 
-def test_a_square_root_of_a_matmul_stack_is_not_a_formula():
-    assert norm_formulas("s = np.sqrt(np.matmul(t[..., None, :], t[..., :, None]))") == []
+def test_a_square_root_of_a_matmul_stack_is_a_formula():
+    assert len(norm_formulas("s = np.sqrt(np.matmul(t[..., None, :], t[..., :, None]))")) == 1

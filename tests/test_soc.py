@@ -136,6 +136,8 @@ class TestSocAbs:
         ([-2, -1e-15], [2, 1e-15]),
         ([1e-20, -9e-15], [9e-15, -1e-20]),
         ([1e-16, 1e-15], [1e-15, 1e-16]),
+        # every square of the block underflows, but its tail is not zero
+        ([1e-170, 1e-169], [1e-169, 1e-170]),
     ])
     def test_known_values(self, x, expected):
         # one row takes the blocks one by one, a batch the grouped pass
@@ -291,9 +293,11 @@ class TestProjectCone:
         ([-3, 1], [0, 0]),    # inside -K
         ([0, 2], [1, 1]),     # neither
         ([1e-16, 1e-15], [5.500000000000001e-16, 5.500000000000001e-16]),  # neither
+        ([1e-170, 1e-169], [5.5e-170, 5.500000000000001e-170]),  # neither, squares underflow
     ])
     def test_known_values(self, x, expected):
         assert project_cone(np.array(x, dtype=float), K2).tolist() == expected
+        assert project_kernel(np.array([x, x], dtype=float), K2).tolist() == [expected, expected]
 
     def test_scalar_blocks(self):
         cone = ConeStructure((1, 1))
@@ -328,6 +332,13 @@ class TestMembership:
     ])
     def test_classification(self, x, expected):
         assert cone_membership(np.array(x, dtype=float), K2, 1e-12) == [expected]
+
+    def test_a_tail_whose_squares_underflow_is_not_zero(self):
+        # (1e-170, 1e-169) lies between K and -K
+        x = np.array([1e-170, 1e-169])
+        assert eigenvalues(x) == (-9e-170, 1.1e-169)
+        assert cone_membership(x, K2, 0.0) == [Membership.NEITHER]
+        assert not in_cone(x, K2, 0.0)
 
     def test_per_block(self):
         cone = ConeStructure((2, 2))
@@ -401,17 +412,17 @@ def test_blockwise_matches_per_block(seed):
 
 def _reference_abs_kernel(x, cone):
     """|x| block by block in closed form, with numpy-scalar heads and
-    reference_norm tails: x in K, -x in -K and (s, (x1/s)*x2) between them,
-    (|x1|, +0.0) where s is 0. The reference the kernel must match bit for
-    bit."""
+    reference_norm tails: |x1| for a block of size 1, else x in K, -x in -K
+    and (s, (x1/s)*x2) between them. The reference the kernel must match bit
+    for bit."""
     out = np.empty_like(x)
     for sl in cone.slices():
         xb = x[sl]
-        s = reference_norm(xb[1:]) if xb.shape[0] > 1 else 0.0
-        if s == 0.0:
-            out[sl][0] = abs(xb[0])
-            out[sl][1:] = 0.0
-        elif xb[0] >= s:
+        if xb.shape[0] == 1:
+            out[sl] = abs(xb[0])
+            continue
+        s = reference_norm(xb[1:])
+        if xb[0] >= s:
             out[sl] = xb
         elif xb[0] <= -s:
             out[sl] = -xb
@@ -766,6 +777,8 @@ class TestClosedForms:
     @given(blocks_and_scale())
     @example((K2, np.array([[1e-16, 1e-15]]), 1.0))
     @example((ConeStructure((1, 2, 3, 4)), np.linspace(-1.0, 1.0, 10)[None], 2.0**-60))
+    # the squares of c*x underflow: its tail is still not zero
+    @example((K2, np.array([[1.0, 1e-15], [1.0, 1e-15]]), 2.0**-500))
     def test_abs_and_projection_are_positively_homogeneous(self, case):
         # |cx| = c|x| and P_K(cx) = c P_K(x) for c > 0, bit for bit at a power
         # of two, on one row and on a batch; and P_K(x) lies in K to rounding
@@ -781,25 +794,25 @@ class TestClosedForms:
                     lam1, lam2 = eigenvalues(row[sl])
                     assert lam1 >= -1e-15 * lam2
 
-    # a tail is zero where its sum of squares is: it is -0.0 or every square
-    # underflows to 0
-    @pytest.mark.parametrize("x", [
-        [-2.0, -1e-170], [3.0, -0.0], [-0.0, -0.0], [1e-20, -9e-170], [0.0, -5e-324],
+    # a tail is zero only when it is zero: a tail whose squares underflow
+    # keeps its bits in K and in -K, and gives (s, (x1/s)*x2) between them
+    @pytest.mark.parametrize("x, expected", [
+        ([-2.0, -1e-170], [2.0, 1e-170]),  # in -K
+        ([3.0, -0.0], [3.0, -0.0]),  # in K
+        ([-0.0, -0.0], [-0.0, -0.0]),  # in K and in -K: x
+        ([1e-20, -9e-170], [1e-20, -9e-170]),  # in K
+        ([0.0, -5e-324], [5e-324, -0.0]),  # neither
     ])
-    def test_a_tail_taken_as_zero_gives_abs_x1_and_plus_zero(self, x):
-        # x1 / s * x2 would give -0.0 where x1 and x2 differ in sign, or nan
-        # as s is 0; the tail is written +0.0, on the block-by-block path and
-        # the grouped pass
-        expected = [abs(x[0]), 0.0]
+    def test_a_zero_or_underflowing_tail_takes_the_closed_form(self, x, expected):
+        # on the block-by-block path and the grouped pass
         assert K2._row_by_block
         for got in (abs_kernel(np.array(x), K2), *abs_kernel(np.array([x, x]), K2)):
             assert _bits(got) == _bits(np.array(expected))
-            assert not np.signbit(got).any()
 
     @pytest.mark.parametrize("x, expected", [
         ([math.nan, 1.0], [1.0, math.nan]),  # neither: the head is s
         ([1.0, math.nan], [math.nan, math.nan]),
-        ([math.nan, 0.0], [math.nan, 0.0]),  # the tail is zero
+        ([math.nan, 0.0], [0.0, math.nan]),  # neither: the head is s = 0
         ([math.inf, 1.0], [math.inf, 1.0]),  # in K
         ([-math.inf, 1.0], [math.inf, -1.0]),  # in -K
         ([math.inf, math.inf], [math.inf, math.inf]),

@@ -32,17 +32,6 @@ from .model import (
     solvability_certificate,
 )
 from .problems import example_toy, example_tridiag, initial_grid, random_unique
-from .soc import (
-    ConeStructure,
-    Membership,
-    SpectralDecomp,
-    complementarity_residual,
-    cone_membership,
-    in_cone,
-    jordan_product,
-    project_cone,
-    soc_abs,
-    spectral_decompose,
-)
+from .soc import ConeStructure, project_cone, soc_abs
 
 __version__ = "0.1.0"

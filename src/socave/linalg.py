@@ -134,8 +134,10 @@ def vector_norm(v: np.ndarray):
         ss = np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0]
         s = np.sqrt(ss)
         # ss is >= 0 or nan, so a normal least ss and a finite sum show in
-        # two calls that every one is normal
-        if not (ss.min() >= sys.float_info.min and math.isfinite(ss.sum())):
+        # two calls that every one is normal; a stack of no vectors, or of
+        # empty ones, whose norms are the zeros s holds, has none to mend
+        if ss.size and v.shape[-1] and not (ss.min() >= sys.float_info.min
+                                            and math.isfinite(ss.sum())):
             off = ~((ss >= sys.float_info.min) & (ss < math.inf))
             s[off] = [vector_norm(row) for row in v[off]]
         return s

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
@@ -163,11 +163,16 @@ class TestVectorNorm:
     @given(npst.arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(0, 4)),
                        elements=st.sampled_from([sign * m for m in (0.0, 5e-324, 1e-170, 1.0, 1e200)
                                                  for sign in (1.0, -1.0)])))
+    # stacks of no vectors and of empty ones
+    @example(np.zeros((0, 3)))
+    @example(np.zeros((3, 0)))
+    @example(np.zeros((0, 0)))
     def test_the_norm_is_zero_only_for_a_zero_vector(self, stack):
         # each vector of a stack has the norm it has alone; a stack runs
         # under its callers' silent
         with np.errstate(over="ignore"):
             norms = vector_norm(stack)
+        assert norms.shape == stack.shape[:-1]
         for v, norm in zip(stack, norms):
             assert norm == vector_norm(v)
             assert (norm == 0.0) == (not v.any())

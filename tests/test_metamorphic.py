@@ -13,7 +13,7 @@ below 2**-511, whose sum of squares is subnormal, may round one ulp apart.
 
 - Block permutation: the cone kernels act on each block alone, so moving
   blocks of x among the places of blocks of the same size moves the blocks
-  of |x|, P_K(x) and x o y the same way, bit for bit, since every block keeps
+  of |x| and P_K(x) the same way, bit for bit, since every block keeps
   its arithmetic wherever it sits. The problem (P A P^T, P b) from P x0
   then flows along P x(t), to a tolerance, as the matvecs sum in another order.
 - Cone automorphisms: R = diag(1, Q) on each block, with Q orthogonal, maps
@@ -30,7 +30,7 @@ from socave.dynamics import DynamicsConfig
 from socave.integrator import IntegratorOptions, Termination, integrate
 from socave.model import AveProblem
 from socave.problems import example_tridiag, random_unique
-from socave.soc import ConeStructure, abs_kernel, jordan_product, project_kernel
+from socave.soc import ConeStructure, abs_kernel, project_kernel
 
 
 def mixed_blocks():
@@ -134,15 +134,6 @@ def test_permuting_equal_size_blocks_permutes_the_trajectory():
     np.testing.assert_allclose(traj.final_state, ref.final_state[perm], rtol=0.0, atol=1e-7)
 
 
-def test_permuting_equal_size_blocks_commutes_with_the_jordan_product():
-    # jordan_product takes vectors, not batches
-    cone, x = permutation_inputs(None)
-    y = np.random.default_rng(4).standard_normal(cone.dim)
-    perm = block_permutation(cone)
-    assert jordan_product(x[perm], y[perm], cone).tobytes() == \
-        jordan_product(x, y, cone)[perm].tobytes()
-
-
 def block_rotation(cone, seed):
     """R = diag(1, Q_b) over the blocks b of cone, with each Q_b orthogonal,
     from the QR of a seeded normal matrix."""
@@ -157,7 +148,7 @@ def block_rotation(cone, seed):
     return R
 
 
-# few blocks, so one row takes abs_kernel block by block (_split), and a
+# few blocks, so one row takes abs_kernel block by block (_abs_into), and a
 # batch takes every row through the groups
 ROTATED_CONE = ConeStructure((1, 2, 3, 4, 5))
 

@@ -7,24 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from jordan import eigenvalues, jordan_product
 from norm_reference import NORMAL_NORM_MIN, reference_norm
 from socave import soc
 from socave.linalg import vector_norm
 from socave.model import AveProblem
-from socave.soc import (
-    ConeStructure,
-    abs_kernel,
-    Membership,
-    complementarity_residual,
-    project_kernel,
-    cone_membership,
-    eigenvalues,
-    in_cone,
-    jordan_product,
-    project_cone,
-    soc_abs,
-    spectral_decompose,
-)
+from socave.soc import ConeStructure, abs_kernel, project_cone, project_kernel, soc_abs
 
 K2 = ConeStructure((2,))
 K3 = ConeStructure((3,))
@@ -61,68 +49,6 @@ class TestConeStructure:
             ConeStructure(5)
         with pytest.raises(ValueError, match=r"cone must be a ConeStructure, got \(2,\)$"):
             AveProblem(np.eye(2), [0.0, 0.0], (2,))
-
-
-class TestSpectralDecompose:
-    def test_generic_vector(self):
-        d = spectral_decompose(np.array([1.0, 2.0]))
-        assert (d.lam1, d.lam2) == (-1.0, 3.0)
-        assert d.u1.tolist() == [0.5, -0.5]
-        assert d.u2.tolist() == [0.5, 0.5]
-        assert np.allclose(d.reconstruct(), [1.0, 2.0], atol=1e-12)
-
-    def test_zero_tail_uses_fixed_frame(self):
-        d = spectral_decompose(np.array([3.0, 0.0, 0.0]))
-        assert (d.lam1, d.lam2) == (3.0, 3.0)
-        assert d.u1.tolist() == [0.5, -0.5, 0.0]
-        assert d.u2.tolist() == [0.5, 0.5, 0.0]
-
-    def test_zero_vector(self):
-        d = spectral_decompose(np.zeros(2))
-        assert (d.lam1, d.lam2) == (0.0, 0.0)
-
-    def test_rejects_a_block_of_size_1(self):
-        with pytest.raises(ValueError, match="block size >= 2"):
-            spectral_decompose(np.array([1.0]))
-
-    @pytest.mark.parametrize("xb, match", [
-        (np.array([]), "size >= 1"),
-        (np.array([[1.0, 0.0]]), "ndim=1"),
-        (np.array([1.0, math.nan]), "finite number"),
-        ("12", "finite number"),
-    ], ids=["empty", "2-d", "nan", "string"])
-    def test_eigenvalues_validate_their_block(self, xb, match):
-        with pytest.raises(ValueError, match=match):
-            eigenvalues(xb)
-
-    def test_eigenvalues_of_a_list(self):
-        assert eigenvalues([1, 3, 4]) == (-4.0, 6.0)
-
-    @given(finite_vectors(4))
-    # the tail's sum of squares is subnormal: math.hypot keeps the frame unit
-    @example(np.full(4, 7.85e-158))
-    def test_reconstruction_and_frame_invariants(self, x):
-        d = spectral_decompose(x)
-        assert d.lam1 <= d.lam2
-        assert np.allclose(d.u1 + d.u2, [1, 0, 0, 0], atol=1e-15)
-        assert np.linalg.norm(d.u1) == pytest.approx(2**-0.5, rel=1e-12)
-        assert np.max(np.abs(d.reconstruct() - x)) <= 1e-12 * max(1, np.max(np.abs(x)))
-
-
-class TestJordanProduct:
-    def test_square(self):
-        assert jordan_product([1, 2], [1, 2], K2).tolist() == [5, 4]
-
-    def test_identity_element(self):
-        out = jordan_product([1, 0, 0], [2.5, -1.0, 0.5], K3)
-        assert out.tolist() == [2.5, -1.0, 0.5]
-
-    def test_orthogonal_boundary_pair(self):
-        assert jordan_product([1, 1], [1, -1], K2).tolist() == [0, 0]
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            jordan_product([1, 2, 3], [1, 2], K2)
 
 
 class TestSocAbs:
@@ -172,12 +98,6 @@ class TestSocAbs:
         for row, single in zip(rows, alone):
             assert _bits(row) == _bits(single)
 
-    def test_eigenvalues_and_membership_of_an_overflowing_tail_are_silent(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert eigenvalues(np.array([1.0, 1e200])) == (-1e200, 1e200)
-            assert cone_membership([1.0, 1e200], K2) == [Membership.NEITHER]
-
     @given(finite_vectors(3))
     def test_square_consistency(self, x):
         ax = soc_abs(x, K3)
@@ -213,21 +133,6 @@ class TestOverflowingTailNorm:
             for got in (soc_abs(x, cone), project_cone(x, cone), abs_kernel(np.array(x), cone),
                         project_kernel(np.array(x), cone)):
                 assert got.tolist() == x
-            assert cone_membership(x, cone) in ([Membership.INTERIOR], [Membership.BOUNDARY])
-            assert in_cone(x, cone)
-
-    def test_eigenvalues_and_frame(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert eigenvalues(np.array([2e200, 1e200])) == (1e200, 3e200)
-            assert eigenvalues(np.array([1e300, -6e299, 8e299])) == (0.0, 2e300)
-            d = spectral_decompose(np.array([1e300, -6e299, 8e299]))
-            assert (d.lam1, d.lam2) == (0.0, 2e300)
-            assert d.u2.tolist() == [0.5, -0.3, 0.4]
-            assert cone_membership([2e200, 1e200], K2) == [Membership.INTERIOR]
-            assert cone_membership([-2e200, 1e200], K2) == [Membership.INSIDE_NEGATIVE_CONE]
-            assert cone_membership([0.0, 1e200], K2) == [Membership.NEITHER]
-            assert not in_cone([0.0, 1e200], K2)
 
     @pytest.mark.parametrize("kernel", [abs_kernel, project_kernel], ids=["abs", "project"])
     def test_rows_of_a_batch_are_the_rows_alone(self, kernel):
@@ -322,81 +227,6 @@ class TestProjectCone:
             assert float((u - w) @ (v - w)) <= 1e-10
 
 
-class TestMembership:
-    @pytest.mark.parametrize("x,expected", [
-        ([2, 1], Membership.INTERIOR),
-        ([1, 1], Membership.BOUNDARY),
-        ([0, 2], Membership.NEITHER),
-        ([-2, 1], Membership.INSIDE_NEGATIVE_CONE),
-        ([-2, 2], Membership.OUTSIDE_CONE),
-    ])
-    def test_classification(self, x, expected):
-        assert cone_membership(np.array(x, dtype=float), K2, 1e-12) == [expected]
-
-    def test_a_tail_whose_squares_underflow_is_not_zero(self):
-        # (1e-170, 1e-169) lies between K and -K
-        x = np.array([1e-170, 1e-169])
-        assert eigenvalues(x) == (-9e-170, 1.1e-169)
-        assert cone_membership(x, K2, 0.0) == [Membership.NEITHER]
-        assert not in_cone(x, K2, 0.0)
-
-    def test_per_block(self):
-        cone = ConeStructure((2, 2))
-        out = cone_membership(np.array([2.0, 1.0, 0.0, 2.0]), cone, 1e-12)
-        assert out == [Membership.INTERIOR, Membership.NEITHER]
-
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-3, "0", True, None])
-    def test_tol_is_a_finite_number_at_least_zero(self, tol):
-        # a nan tol would label an interior point Neither
-        for test in (cone_membership, in_cone):
-            with pytest.raises(ValueError, match="tol must be"):
-                test(np.array([1.0, 0.0]), K2, tol)
-
-    @given(finite_vectors(3))
-    def test_consistent_with_eigenvalue_signs(self, x):
-        (label,) = cone_membership(x, K3, 1e-10)
-        lam1, lam2 = eigenvalues(x)
-        if label in (Membership.INTERIOR, Membership.BOUNDARY):
-            assert lam1 >= -1e-10
-        if label in (Membership.INSIDE_NEGATIVE_CONE, Membership.OUTSIDE_CONE):
-            assert lam2 <= 1e-10
-        if label is Membership.NEITHER:
-            assert lam1 < 0 < lam2
-
-
-class TestComplementarityResidual:
-    def test_boundary_pair(self):
-        assert complementarity_residual([1, 1], [1, -1], K2) == pytest.approx(0.0, abs=1e-15)
-
-    def test_zero_complements_anything(self):
-        assert complementarity_residual([0, 0], [5, 3], K2) == pytest.approx(0.0, abs=1e-15)
-
-    def test_nonorthogonal_pair(self):
-        assert complementarity_residual([1, 0], [1, 0], K2) == pytest.approx(2.0)
-
-    def test_frame_constructions_both_directions(self):
-        rng = np.random.default_rng(11)
-        cone = ConeStructure((4,))
-        for _ in range(200):
-            d = rng.standard_normal(3)
-            d /= np.linalg.norm(d)
-            e1 = 0.5 * np.concatenate(([1.0], -d))
-            e2 = 0.5 * np.concatenate(([1.0], d))
-            lam = rng.uniform(0.5, 3.0)
-            mu = rng.uniform(0.5, 3.0)
-            s = lam * e2   # lam1 = 0 complements mu1 = mu
-            t = mu * e1
-            assert complementarity_residual(s, t, cone) <= 1e-10
-            assert in_cone(s, cone) and in_cone(t, cone)
-            assert abs(float(s @ t)) <= 1e-12
-            # break complementarity: both frame coefficients positive
-            s_bad = s + 0.1 * e1
-            assert complementarity_residual(s_bad, t, cone) > 1e-6
-            # break membership: s outside K
-            s_out = s - 0.1 * e1
-            assert complementarity_residual(s_out, t, cone) > 1e-6
-
-
 @settings(max_examples=50)
 @given(st.integers(0, 2**32 - 1))
 def test_blockwise_matches_per_block(seed):
@@ -453,17 +283,6 @@ def _reference_project_cone(x, cone):
                 t = 0.5 * xb[0] + 0.5 * s
             out[sl][0] = t
             out[sl][1:] = (t / s) * xb[1:]
-    return out
-
-
-def _reference_jordan_product(x, y, cone):
-    """jordan_product as it was, block by block: the reference its groups
-    must match bit for bit."""
-    out = np.empty_like(x)
-    for sl in cone.slices():
-        xb, yb = x[sl], y[sl]
-        out[sl][0] = float(xb @ yb)
-        out[sl][1:] = yb[0] * xb[1:] + xb[0] * yb[1:]
     return out
 
 
@@ -543,10 +362,14 @@ class TestAbsKernelBitwise:
                                math.inf, 1.0, 2.0, math.nan, 1e308, 1e308, -2.5, 3e-160]]))
     @example(_case((3, 3), [[1.0, 3e-160, 4e-160, -1.0, 0.0, BELOW_NORMAL],
                              [math.inf, 1.0, 2.0, 1e308, 1e308, -1e308]]))
+    # a batch of no rows, of one block size and of three
+    @example(_case((2, 2), np.zeros((0, 4))))
+    @example(_case((1, 2, 3), np.zeros((0, 6))))
     def test_batch_rows_match_reference(self, kernel, reference, case):
         cone, x = case
         with np.errstate(all="ignore"):
             got = kernel(x, cone)
+            assert got.shape == x.shape
             for row, expected in zip(got, x):
                 assert _bits(row) == _bits(reference(expected, cone))
 
@@ -570,31 +393,6 @@ class TestAbsKernelBitwise:
             assert _bits(np.array(vector_norm(tail))) == _bits(np.array(reference_norm(tail)))
 
 
-# The parent forms of the functions that share one block split, kept here
-# as references the split must match bit for bit: reference_norm tails,
-# numpy-scalar heads and the size-1 branches they had.
-def _reference_eigenvalues(xb):
-    s = reference_norm(xb[1:]) if xb.shape[0] > 1 else 0.0
-    return float(xb[0]) - s, float(xb[0]) + s
-
-
-def _reference_cone_membership(x, cone, tol):
-    out = []
-    for sl in cone.slices():
-        lam1, lam2 = _reference_eigenvalues(x[sl])
-        if lam1 > tol:
-            out.append(Membership.INTERIOR)
-        elif lam1 >= -tol and lam2 >= -tol:
-            out.append(Membership.BOUNDARY)
-        elif lam2 < -tol:
-            out.append(Membership.INSIDE_NEGATIVE_CONE)
-        elif lam2 <= tol:
-            out.append(Membership.OUTSIDE_CONE)
-        else:
-            out.append(Membership.NEITHER)
-    return out
-
-
 finite_entries = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                            st.sampled_from([v for v in SPECIAL if math.isfinite(v)]))
 
@@ -604,13 +402,6 @@ def finite_cone_and_vector(draw):
     cone = ConeStructure(draw(st.lists(st.integers(1, 5), min_size=1, max_size=6)))
     x = draw(st.lists(finite_entries, min_size=cone.dim, max_size=cone.dim))
     return cone, np.array(x, dtype=float)
-
-
-@st.composite
-def finite_cone_and_pair(draw):
-    cone, x = draw(finite_cone_and_vector())
-    y = draw(st.lists(finite_entries, min_size=cone.dim, max_size=cone.dim))
-    return cone, x, np.array(y, dtype=float)
 
 
 # size-1 blocks with signed zeros; zero tails; tails whose sum of squares is
@@ -636,28 +427,8 @@ def _with_examples(cases):
 
 
 class TestSplitBitwise:
-    """eigenvalues, project_cone, jordan_product and cone_membership keep
-    every IEEE operation and every branch outcome of their reference forms."""
-
-    @settings(max_examples=300)
-    @given(cone_and_vector())
-    @_with_examples(FINITE_CASES + [
-        _case((1, 1, 1), [-0.0, -3.0, math.nan]),
-        _case((3, 3, 2), [math.inf, 1.0, 2.0, 1.0, -math.inf, 0.0, math.nan, 1.0]),
-        _case((2, 3), [-math.inf, math.inf, 1.0, math.nan, 0.0]),
-    ])
-    def test_eigenvalues(self, case):
-        # a block with a nan or an inf is an invalid input, as it is for
-        # spectral_decompose
-        cone, x = case
-        with np.errstate(all="ignore"):
-            for sl in cone.slices():
-                if not np.isfinite(x[sl]).all():
-                    with pytest.raises(ValueError, match="must be a finite number"):
-                        eigenvalues(x[sl])
-                    continue
-                assert _bits(np.array(eigenvalues(x[sl]))) == \
-                    _bits(np.array(_reference_eigenvalues(x[sl])))
+    """project_cone and project_kernel keep every IEEE operation and every
+    branch outcome of their reference form."""
 
     @settings(max_examples=300)
     @given(finite_cone_and_vector())
@@ -675,42 +446,6 @@ class TestSplitBitwise:
         cone, x = case
         with np.errstate(all="ignore"):
             assert _bits(project_kernel(x, cone)) == _bits(_reference_project_cone(x, cone))
-
-    @settings(max_examples=300)
-    @given(finite_cone_and_pair())
-    @_with_examples([(cone, x, x[::-1].copy()) for cone, x in FINITE_CASES] + [
-        # 8 blocks of sizes 1-5, 4-entry tails among them: their heads are
-        # 5-entry ddots, which round unlike a plain sum of the products
-        (ConeStructure((5, 1, 3, 5, 2, 4, 1, 5)),
-         *np.random.default_rng(5).standard_normal((2, 26))),
-    ])
-    def test_jordan_product(self, case):
-        cone, x, y = case
-        with np.errstate(all="ignore"):
-            assert _bits(jordan_product(x, y, cone)) == \
-                _bits(_reference_jordan_product(x, y, cone))
-
-    @settings(max_examples=300)
-    @given(finite_cone_and_vector())
-    @_with_examples(FINITE_CASES)
-    def test_cone_membership(self, case):
-        cone, x = case
-        with np.errstate(all="ignore"):
-            for tol in (0.0, 1e-14, 1e-10, 1.0):
-                assert cone_membership(x, cone, tol) == \
-                    _reference_cone_membership(x, cone, tol)
-
-
-@settings(max_examples=300)
-@given(finite_cone_and_vector())
-@_with_examples(FINITE_CASES)
-def test_in_cone_is_lam1_at_least_minus_tol(case):
-    # in_cone reads cone_membership's labels; for tol >= 0 that is this test
-    cone, x = case
-    with np.errstate(all="ignore"):
-        for tol in (0.0, 1e-14, 1e-10, 1.0):
-            assert in_cone(x, cone, tol) == all(
-                _reference_eigenvalues(x[sl])[0] >= -tol for sl in cone.slices())
 
 
 @st.composite

@@ -27,17 +27,6 @@ TOY_TSPANS = {"multi": (0.0, 5.0), "unique": (0.0, 5.0), "none": (0.0, 10.0)}
 TOY_GRID_POINTS = {"multi": 7, "unique": 8, "none": 8}
 
 
-def toy_region(x) -> str:
-    """Region of the 2-d toy phase plane: 'a' x1 >= |x2|, 'c' x1 <= -|x2|,
-    'b' in between."""
-    x1, x2 = float(x[0]), float(x[1])
-    if x1 >= abs(x2):
-        return "a"
-    if x1 <= -abs(x2):
-        return "c"
-    return "b"
-
-
 def multi_sign_violation(p: AveProblem, cfg: DynamicsConfig, states) -> float:
     """Worst violation of the 'multi' problem's per-region derivative signs.
 
@@ -48,7 +37,7 @@ def multi_sign_violation(p: AveProblem, cfg: DynamicsConfig, states) -> float:
     """
     x = np.asarray(states, dtype=float)
     v = rhs_and_residual(p, cfg, x)[0]
-    in_a = x[:, 0] >= np.abs(x[:, 1])  # toy_region(x) == "a", row by row
+    in_a = x[:, 0] >= np.abs(x[:, 1])  # region (a), x1 >= |x2|, row by row
     terms = np.concatenate((x[:, 1] * v[:, 1],  # opposite signs => <= 0
                             np.where(in_a, np.abs(v[:, 0]), -v[:, 0])))
     # only a term > 0 can raise the worst from 0, and a nan is never > 0

@@ -1,4 +1,4 @@
-"""Every file the package reads or writes: JSON in and out, trajectory CSVs.
+"""Every file the package reads or writes: JSON in and out, trajectory CSVs out.
 
 CSV schema: header ``t,x_1,...,x_n,residual_norm``, then one row per
 recorded state: the values printed with ``%.17g`` (17 significant digits,
@@ -72,9 +72,3 @@ def write_trajectory_csv(path, traj: Trajectory) -> None:
             words = np.asarray(text, dtype=object)[np.searchsorted(keys, bits)]
             words = words.reshape(-1, width).tolist()
             fh.writelines([",".join(r) + "\r\n" for r in words])
-
-
-def read_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(times, states, residual_norms) as stored; termination is not persisted."""
-    table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return table[:, 0], table[:, 1:-1], table[:, -1]

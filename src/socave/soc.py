@@ -54,9 +54,6 @@ class ConeStructure:
         object.__setattr__(self, "_row_by_block",
                            len(self.blocks) < ROW_BLOCKS_PER_GROUP * passes)
 
-    def slices(self) -> list[slice]:
-        return [slice(i, tail.stop) for i, tail in self._parts]
-
 
 def soc_abs(x, cone: ConeStructure) -> np.ndarray:
     """Jordan-algebra absolute value sqrt(x o x), blockwise closed form."""

@@ -1,17 +1,25 @@
 """Jordan-algebra oracles of the second-order cone, block by block, for the
-tests of |x| and P_K: the Jordan product, the eigenvalues, the spectral
-decomposition and the membership test. socave computes none of them; each
-tail norm is reference_norm, whose bits linalg.vector_norm matches."""
+tests of |x| and P_K: the block slices, the Jordan product, the
+eigenvalues, the spectral decomposition and the membership test. socave
+computes none of them; each tail norm is reference_norm, whose bits
+linalg.vector_norm matches."""
+
+from itertools import accumulate
 
 import numpy as np
 
 from norm_reference import reference_norm
 
 
+def slices(cone):
+    """The slice of each block of cone, in order."""
+    return [slice(end - b, end) for b, end in zip(cone.blocks, accumulate(cone.blocks))]
+
+
 def jordan_product(x, y, cone):
     """x o y = (<x, y>, y1*x2 + x1*y2), block by block."""
     out = np.empty_like(x)
-    for sl in cone.slices():
+    for sl in slices(cone):
         xb, yb = x[sl], y[sl]
         out[sl][0] = float(xb @ yb)
         out[sl][1:] = yb[0] * xb[1:] + xb[0] * yb[1:]
@@ -37,4 +45,4 @@ def spectral_decompose(xb):
 def in_cone(x, cone, tol=1e-10):
     """True if every block has lam1 >= -tol, for a tol >= 0: each block lies
     in K, or on its boundary, to within tol."""
-    return all(eigenvalues(x[sl])[0] >= -tol for sl in cone.slices())
+    return all(eigenvalues(x[sl])[0] >= -tol for sl in slices(cone))

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from jordan import in_cone, jordan_product, spectral_decompose
+from jordan import in_cone, jordan_product, slices, spectral_decompose
 from socave.dynamics import DynamicsConfig, lyapunov_value
 from socave.integrator import IntegratorOptions, integrate, time_to_tolerance
 from socave.linalg import vector_norm
@@ -83,7 +83,7 @@ def test_criterion_05_residual_form_equivalence():
         if kind in (0, 1):
             # force membership: per-block interior point of K (or its negative)
             x = np.empty(n)
-            for blk, sl in zip(cone.blocks, cone.slices()):
+            for blk, sl in zip(cone.blocks, slices(cone)):
                 tail = rng.standard_normal(blk - 1)
                 x[sl][1:] = tail
                 x[sl][0] = np.linalg.norm(tail) + rng.uniform(0.1, 2.0)
@@ -119,7 +119,7 @@ def test_criterion_06_complementarity_oracle():
         s = np.empty(cone.dim)
         t = np.empty(cone.dim)
         mu_dirs = []  # per block: the frame vector carrying t's coefficient
-        for blk, sl in zip(cone.blocks, cone.slices()):
+        for blk, sl in zip(cone.blocks, slices(cone)):
             mu = rng.uniform(0.5, 3.0)
             lam = rng.uniform(0.0, 3.0)
             if blk == 1:
@@ -141,7 +141,7 @@ def test_criterion_06_complementarity_oracle():
         # perturb s along a frame direction where t has positive weight
         delta = rng.uniform(1e-3, 1e-1)
         s_bad = s.copy()
-        for sl, e in zip(cone.slices(), mu_dirs):
+        for sl, e in zip(slices(cone), mu_dirs):
             if e is not None:
                 s_bad[sl] += delta * e
                 break
@@ -200,7 +200,7 @@ def test_criterion_09_jordan_algebra_suite():
         n = cone.dim
         x = rng.standard_normal(n) * 2
         y = rng.standard_normal(n) * 2
-        for sl in cone.slices():
+        for sl in slices(cone):
             if x[sl].shape[0] >= 2:
                 lam1, lam2, u1, u2 = spectral_decompose(x[sl])
                 worst["reconstruction"] = max(

@@ -11,12 +11,23 @@ from socave.dynamics import (
     lyapunov_value,
     rhs,
 )
-from socave.experiments import multi_sign_violation, toy_region
+from socave.experiments import multi_sign_violation
 from socave.model import AveProblem, residual
 from socave.problems import example_toy, example_tridiag, initial_grid
 from socave.soc import ConeStructure
 
 GAMMA2 = DynamicsConfig(2.0)
+
+
+def toy_region(x) -> str:
+    """Region of the 2-d toy phase plane: 'a' x1 >= |x2|, 'c' x1 <= -|x2|,
+    'b' in between."""
+    x1, x2 = float(x[0]), float(x[1])
+    if x1 >= abs(x2):
+        return "a"
+    if x1 <= -abs(x2):
+        return "c"
+    return "b"
 
 
 class TestConfig:

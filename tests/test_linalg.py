@@ -389,6 +389,21 @@ class TestTridiagToeplitz:
         assert op.sigma_min() == pytest.approx(sv[-1], rel=1e-12)
         assert op.norm() == pytest.approx(sv[0], rel=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_a_sigma_min_of_exactly_one_reads_one(self, n):
+        # k = (n+1)/2 gives 1 + 2e7*cos(pi/2), where cos(pi/2) rounds to 6.1e-17
+        assert TridiagToeplitz(n, 1e7, 1.0, 1e7).sigma_min() == 1.0
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_a_singular_symmetric_tridiag_has_sigma_min_zero(self, n):
+        assert TridiagToeplitz(n, 1.0, 0.0, 1.0).sigma_min() == 0.0
+
+    @pytest.mark.parametrize("coeffs", [*SYMMETRIC, (1e7, 1.0, 1e7), (1.0, 0.0, 1.0)])
+    def test_the_middle_singular_value_at_odd_n_is_abs_diag(self, coeffs):
+        for n in range(1, 52, 2):
+            middle = TridiagToeplitz(n, *coeffs)._singular_values()[n // 2]
+            assert middle.tobytes() == np.float64(abs(coeffs[1])).tobytes(), n
+
     @pytest.mark.parametrize("n", SIZES)
     def test_nonsymmetric_falls_back_to_svd(self, n):
         op = TridiagToeplitz(n, 2.0, 0.5, -3.0)

@@ -26,6 +26,7 @@ below 2**-511, whose sum of squares is subnormal, may round one ulp apart.
 import numpy as np
 import pytest
 
+from jordan import slices
 from socave.dynamics import DynamicsConfig
 from socave.integrator import IntegratorOptions, Termination, integrate
 from socave.model import AveProblem
@@ -139,7 +140,7 @@ def block_rotation(cone, seed):
     from the QR of a seeded normal matrix."""
     rng = np.random.default_rng(seed)
     R = np.zeros((cone.dim, cone.dim))
-    for sl in cone.slices():
+    for sl in slices(cone):
         m = sl.stop - sl.start
         R[sl.start, sl.start] = 1.0
         if m > 1:

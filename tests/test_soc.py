@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from jordan import eigenvalues, jordan_product
+from jordan import eigenvalues, jordan_product, slices
 from norm_reference import NORMAL_NORM_MIN, reference_norm
 from socave import soc
 from socave.linalg import vector_norm
@@ -34,10 +34,8 @@ def random_structure(rng, max_dim=12):
 
 
 class TestConeStructure:
-    def test_dim_and_slices(self):
-        cone = ConeStructure((2, 3, 1))
-        assert cone.dim == 6
-        assert cone.slices() == [slice(0, 2), slice(2, 5), slice(5, 6)]
+    def test_dim(self):
+        assert ConeStructure((2, 3, 1)).dim == 6
 
     def test_rejects_bad_blocks(self):
         with pytest.raises(ValueError):
@@ -156,7 +154,7 @@ class TestOverflowingTailNorm:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = kernel(x, cone)
-            for b, sl in zip(cone.blocks, cone.slices()):
+            for b, sl in zip(cone.blocks, slices(cone)):
                 assert _bits(got[sl]) == _bits(kernel(x[sl], ConeStructure((b,))))
         assert got[:5].tolist() == x[:5].tolist()
         assert np.isfinite(got).all()
@@ -235,7 +233,7 @@ def test_blockwise_matches_per_block(seed):
     cone = random_structure(rng)
     x = rng.standard_normal(cone.dim) * 2
     full = soc_abs(x, cone)
-    for b, sl in zip(cone.blocks, cone.slices()):
+    for b, sl in zip(cone.blocks, slices(cone)):
         single = soc_abs(x[sl], ConeStructure((b,)))
         assert np.allclose(full[sl], single, atol=1e-14)
 
@@ -246,7 +244,7 @@ def _reference_abs_kernel(x, cone):
     and (s, (x1/s)*x2) between them. The reference the kernel must match bit
     for bit."""
     out = np.empty_like(x)
-    for sl in cone.slices():
+    for sl in slices(cone):
         xb = x[sl]
         if xb.shape[0] == 1:
             out[sl] = abs(xb[0])
@@ -267,7 +265,7 @@ def _reference_project_cone(x, cone):
     and numpy-scalar heads: the reference its groups must match bit for bit.
     A finite block whose x1 + s overflows takes the head 0.5*x1 + 0.5*s."""
     out = np.empty_like(x)
-    for sl in cone.slices():
+    for sl in slices(cone):
         xb = x[sl]
         if xb.shape[0] == 1:
             out[sl] = max(xb[0], 0.0)
@@ -460,7 +458,7 @@ def blocks_in_k_or_minus_k(draw):
     entry = st.one_of(magnitude, magnitude.map(lambda v: -v), st.sampled_from([0.0, -0.0]))
     x, side = np.empty((k, cone.dim)), np.empty((k, cone.dim))
     for row in range(k):
-        for sl in cone.slices():
+        for sl in slices(cone):
             m = sl.stop - sl.start
             tail = np.array([draw(magnitude), *draw(st.lists(entry, min_size=m - 2, max_size=m - 2))]
                             if m > 1 else [])
@@ -525,7 +523,7 @@ class TestClosedForms:
                 for row in x:
                     assert _bits(kernel(c * row, cone)) == _bits(c * kernel(row, cone))
             for row in project_kernel(x, cone):
-                for sl in cone.slices():
+                for sl in slices(cone):
                     lam1, lam2 = eigenvalues(row[sl])
                     assert lam1 >= -1e-15 * lam2
 

@@ -44,16 +44,11 @@ def multi_sign_violation(p: AveProblem, cfg: DynamicsConfig, states) -> float:
     return float(np.max(terms, initial=0.0, where=terms > 0))
 
 
-def _maybe_write(out_dir, name, traj):
-    if out_dir is not None:
-        write_trajectory_csv(os.path.join(out_dir, name), traj)
-
-
 def _tridiag_run(p: AveProblem, x_star, gamma: float, out_dir) -> dict:
     """One gamma of run_tridiag_experiment. Its trajectory lives only
     through this call, not through the next gamma's."""
     traj = integrate(p, DynamicsConfig(gamma), np.zeros(p.n), TRIDIAG_TSPAN, IntegratorOptions())
-    _maybe_write(out_dir, f"tridiag_n{p.n}_gamma{gamma:g}.csv", traj)
+    write_trajectory_csv(os.path.join(out_dir, f"tridiag_n{p.n}_gamma{gamma:g}.csv"), traj)
     return {
         "gamma": gamma,
         "termination": traj.termination.value,
@@ -62,10 +57,10 @@ def _tridiag_run(p: AveProblem, x_star, gamma: float, out_dir) -> dict:
     }
 
 
-def run_tridiag_experiment(n: int, out_dir=None) -> dict:
+def run_tridiag_experiment(n: int, out_dir) -> dict:
     """Tridiagonal instance of dimension n from the zero start, at each of
-    TRIDIAG_GAMMAS over TRIDIAG_TSPAN: convergence to the known solution
-    and the speed-up from larger gamma."""
+    TRIDIAG_GAMMAS over TRIDIAG_TSPAN, a CSV per gamma written to out_dir:
+    convergence to the known solution and the speed-up from larger gamma."""
     p, x_star = example_tridiag(n)
     runs = [_tridiag_run(p, x_star, gamma, out_dir) for gamma in TRIDIAG_GAMMAS]
     times = [r["time_to_tol"] for r in runs]
@@ -84,17 +79,14 @@ def _toy_grid(name: str) -> np.ndarray:
     return initial_grid(center, TOY_GRID_POINTS[name])
 
 
-def run_toy_experiment(name: str, out_dir=None, trajs=None) -> dict:
-    """One of the 2-d instances from its deterministic start grid. trajs,
-    if given, are the grid's trajectories, already integrated (see
-    run_toy_experiments)."""
+def run_toy_experiment(name: str, out_dir, trajs) -> dict:
+    """One of the 2-d instances, judged from trajs, the trajectories from
+    its deterministic start grid (run_toy_experiments integrates them), a
+    CSV per start written to out_dir."""
     p = example_toy(name)
     cfg = DynamicsConfig(TOY_GAMMA)
-    starts = _toy_grid(name)
-    if trajs is None:
-        trajs = integrate_many(p, cfg, starts, TOY_TSPANS[name], IntegratorOptions())
     runs = []
-    for j, (x0, traj) in enumerate(zip(starts, trajs)):
+    for j, (x0, traj) in enumerate(zip(_toy_grid(name), trajs)):
         xf = traj.final_state
         run = {
             "x0": x0.tolist(),
@@ -117,13 +109,13 @@ def run_toy_experiment(name: str, out_dir=None, trajs=None) -> dict:
             run["ok"] = (run["x1_strictly_increasing"]
                          and run["min_residual_norm"] >= 0.1)
         runs.append(run)
-        _maybe_write(out_dir, f"toy_{name}_{j:02d}.csv", traj)
+        write_trajectory_csv(os.path.join(out_dir, f"toy_{name}_{j:02d}.csv"), traj)
     return {"name": name, "runs": runs, "all_ok": all(r["ok"] for r in runs)}
 
 
 def run_toy_experiments(out_dir) -> dict:
-    """{name: run_toy_experiment(name, out_dir)} for the 2-d instances of
-    TOY_RHS, with the starts of every grid stepped as one batch: the
+    """{name: run_toy_experiment(name, out_dir, trajs)} for the 2-d instances
+    of TOY_RHS, trajs from one batch of the starts of every grid: the
     instances share A and the cone, and each row has its own b and span."""
     problems = {name: example_toy(name) for name in TOY_RHS}
     grids = [_toy_grid(name) for name in TOY_RHS]

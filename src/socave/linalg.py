@@ -251,9 +251,10 @@ class TridiagToeplitz:
     def _singular_values(self) -> np.ndarray:
         """Unordered singular values. With sub == sup the matrix is symmetric,
         so they are the |eigenvalues| d + 2*sub*cos(k*pi/(n+1)), k = 1..n
-        (Noschese, Pasquini & Reichel 2013), and |d| exactly at odd n's middle
-        k = (n+1)/2, as cos(pi/2) rounds to 6.1e-17; otherwise they are not,
-        and the dense SVD answers, up to n = DENSE_SVD_MAX_N."""
+        (Noschese, Pasquini & Reichel 2013), taken exactly as |d|, |d + sub|
+        and |d - sub| at k/(n+1) = 1/2, 1/3 and 2/3, where the rounded cosine
+        misses 0, 0.5 and -0.5; otherwise they are not, and the dense SVD
+        answers, up to n = DENSE_SVD_MAX_N."""
         if self.sub != self.sup:
             if self.n > DENSE_SVD_MAX_N:
                 raise ValueError(
@@ -263,8 +264,10 @@ class TridiagToeplitz:
             return np.linalg.svd(self.to_dense(), compute_uv=False)
         k = np.arange(1, self.n + 1)
         sv = np.abs(self.diag + 2.0 * self.sub * np.cos(k * math.pi / (self.n + 1)))
-        if self.n % 2:
-            sv[self.n // 2] = abs(self.diag)
+        for num, den, exact in ((1, 2, self.diag), (1, 3, self.diag + self.sub),
+                                (2, 3, self.diag - self.sub)):
+            if (self.n + 1) % den == 0:
+                sv[num * (self.n + 1) // den - 1] = abs(exact)
         return sv
 
     def sigma_min(self) -> float:

@@ -27,7 +27,7 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
         return z ^ (z >> 31)
 
-    def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
+    def uniform(self, lo: float, hi: float) -> float:
         # 53 random bits -> double in [0, 1)
         u = (self.next_u64() >> 11) * 2.0**-53
         return lo + (hi - lo) * u

@@ -17,7 +17,7 @@ from socave.linalg import vector_norm
 from socave.model import AveProblem, contraction_gap, residual, residual_projection_form
 from socave.problems import example_tridiag, random_unique
 from socave.soc import ConeStructure, project_cone, soc_abs
-from socave.experiments import run_toy_experiment, run_tridiag_experiment
+from socave.experiments import run_toy_experiments, run_tridiag_experiment
 
 
 def check(name: str, ok: bool, detail: str = ""):
@@ -36,9 +36,9 @@ def random_structure(rng, max_dim, min_first_block=1):
     return ConeStructure(tuple(blocks))
 
 
-def test_criterion_01_tridiag_reproduction():
+def test_criterion_01_tridiag_reproduction(tmp_path):
     t_start = time.perf_counter()
-    out = run_tridiag_experiment(n=1000)
+    out = run_tridiag_experiment(n=1000, out_dir=str(tmp_path))
     elapsed = time.perf_counter() - t_start
     times = [r["time_to_tol"] for r in out["runs"]]
     check("criterion 1: tridiag n=1000 final error <= 1e-4",
@@ -48,22 +48,22 @@ def test_criterion_01_tridiag_reproduction():
     check("criterion 1: runtime <= 60 s", elapsed <= 60.0, f"{elapsed:.1f}s")
 
 
-def test_criterion_02_infinitely_many_solutions():
-    out = run_toy_experiment("multi")
+def test_criterion_02_infinitely_many_solutions(tmp_path):
+    out = run_toy_experiments(str(tmp_path))["multi"]
     worst_sign = max(r["sign_violation"] for r in out["runs"])
     check("criterion 2: all trajectories reach the solution ray with clean signs",
           out["all_ok"], f"max sign violation {worst_sign:.2e}")
 
 
-def test_criterion_03_unique_solution():
-    out = run_toy_experiment("unique")
+def test_criterion_03_unique_solution(tmp_path):
+    out = run_toy_experiments(str(tmp_path))["unique"]
     worst = max(r["dist_to_solution"] for r in out["runs"])
     check("criterion 3: all finals within 1e-3 of (0,1)",
           out["all_ok"], f"max dist {worst:.2e}")
 
 
-def test_criterion_04_no_solutions():
-    out = run_toy_experiment("none")
+def test_criterion_04_no_solutions(tmp_path):
+    out = run_toy_experiments(str(tmp_path))["none"]
     min_res = min(r["min_residual_norm"] for r in out["runs"])
     check("criterion 4: x1 strictly increasing, residual >= 0.1",
           out["all_ok"], f"min residual {min_res:.3f}")

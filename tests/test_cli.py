@@ -508,9 +508,10 @@ class TestOverflow:
         assert "final_residual=inf" in capsys.readouterr().out
 
     def test_report_writes_an_overflowed_certificate_as_null(self, tmp_path):
-        # with sub = sup the closed form 2 * sub * cos(...) overflows
+        # with sub = sup the closed form 2 * sub * cos(...) overflows; n = 4,
+        # as at n = 2 the values are |diag + sub| and |diag - sub|, exactly
         problem = tmp_path / "p.json"
-        problem.write_text('{"n": 2, "cone_blocks": [2], "b": [1, 1], "A": {"kind": '
+        problem.write_text('{"n": 4, "cone_blocks": [4], "b": [1, 1, 1, 1], "A": {"kind": '
                            '"tridiag", "sub": 1e308, "diag": 0, "sup": 1e308}}')
         report = tmp_path / "r.json"
         main(["solve", "--problem", str(problem), "--gamma", "1", "--tspan", "0,1",
@@ -533,10 +534,11 @@ class TestSuite:
     def test_unknown_name_exit_1(self, tmp_path):
         assert main(["suite", "--name", "nope", "--out-dir", str(tmp_path)]) == 1
 
-    def test_experiment_runs_are_deterministic(self):
-        from socave.experiments import run_toy_experiment
+    def test_experiment_runs_are_deterministic(self, tmp_path):
+        from socave.experiments import run_toy_experiments
 
-        assert run_toy_experiment("unique") == run_toy_experiment("unique")
+        assert (run_toy_experiments(str(tmp_path))["unique"]
+                == run_toy_experiments(str(tmp_path))["unique"])
 
     @pytest.mark.parametrize("sub", ["", "sub"])
     def test_out_dir_under_a_file_exits_1(self, tmp_path, capsys, sub):
@@ -572,7 +574,10 @@ class TestSuite:
     def test_paper_suite_matches_a_serial_run(self, tmp_path, capsys):
         """The CLI suite (n = 1000 in a forked worker) writes the same bytes as
         the experiments run one after another in this process."""
-        from socave.experiments import run_toy_experiment, run_tridiag_experiment
+        from socave.dynamics import DynamicsConfig
+        from socave.experiments import (TOY_GAMMA, TOY_TSPANS, _toy_grid, run_toy_experiment,
+                                        run_tridiag_experiment)
+        from socave.integrator import integrate_many
 
         out, ref = tmp_path / "out", tmp_path / "ref"
         # recorded, not raised: CPython drops os.fork()'s warning about a
@@ -587,7 +592,10 @@ class TestSuite:
         ref.mkdir()
         small = run_tridiag_experiment(n=100, out_dir=str(ref))
         large = run_tridiag_experiment(n=1000, out_dir=str(ref))
-        toys = {name: run_toy_experiment(name, out_dir=str(ref))
+        # each toy's grid integrated alone, not in the suite's one batch
+        toys = {name: run_toy_experiment(name, str(ref), integrate_many(
+                    example_toy(name), DynamicsConfig(TOY_GAMMA), _toy_grid(name),
+                    TOY_TSPANS[name]))
                 for name in ("multi", "unique", "none")}
         criteria = {
             "tridiag_final_error": large["final_err_ok"],

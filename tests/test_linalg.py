@@ -398,11 +398,31 @@ class TestTridiagToeplitz:
     def test_a_singular_symmetric_tridiag_has_sigma_min_zero(self, n):
         assert TridiagToeplitz(n, 1.0, 0.0, 1.0).sigma_min() == 0.0
 
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_a_sigma_min_of_exactly_one_at_a_third_reads_one(self, n):
+        # k = (n+1)/3 gives (1 - 1e7) + 2e7*cos(pi/3), where cos(pi/3)
+        # rounds to 0.5000000000000001
+        assert TridiagToeplitz(n, 1e7, 1.0 - 1e7, 1e7).sigma_min() == 1.0
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_a_singular_symmetric_tridiag_at_a_third_has_sigma_min_zero(self, n):
+        assert TridiagToeplitz(n, 1.0, -1.0, 1.0).sigma_min() == 0.0
+
     @pytest.mark.parametrize("coeffs", [*SYMMETRIC, (1e7, 1.0, 1e7), (1.0, 0.0, 1.0)])
     def test_the_middle_singular_value_at_odd_n_is_abs_diag(self, coeffs):
         for n in range(1, 52, 2):
             middle = TridiagToeplitz(n, *coeffs)._singular_values()[n // 2]
             assert middle.tobytes() == np.float64(abs(coeffs[1])).tobytes(), n
+
+    @pytest.mark.parametrize("coeffs", [*SYMMETRIC, (1e7, 1.0, 1e7), (1.0, 0.0, 1.0),
+                                        (1e7, 1.0 - 1e7, 1e7), (1.0, -1.0, 1.0)])
+    def test_the_singular_values_at_a_third_are_abs_diag_plus_and_minus_sub(self, coeffs):
+        sub, diag, _ = coeffs
+        for n in range(2, 60, 3):
+            sv = TridiagToeplitz(n, *coeffs)._singular_values()
+            third = (n + 1) // 3
+            assert sv[third - 1].tobytes() == np.float64(abs(diag + sub)).tobytes(), n
+            assert sv[2 * third - 1].tobytes() == np.float64(abs(diag - sub)).tobytes(), n
 
     @pytest.mark.parametrize("n", SIZES)
     def test_nonsymmetric_falls_back_to_svd(self, n):
